@@ -48,6 +48,17 @@ class ParamVector:
             raise ConfigurationError(f"dimension must be positive, got {dim}")
         return ParamVector(np.zeros(dim))
 
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "ParamVector":
+        """Wrap a freshly computed 1-d float64 array without copying it.
+
+        Only for arrays nothing else references: it is frozen in place.
+        """
+        arr.flags.writeable = False
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", arr)
+        return vec
+
     @property
     def dim(self) -> int:
         return self.values.shape[0]
@@ -89,7 +100,8 @@ def apply_global_update(
 
     Deltas are summed in the order given (first-come first-served order at
     the master). The result is a fresh immutable vector, so concurrent
-    readers of the old one are unaffected.
+    readers of the old one are unaffected; it is the apply's only copy of
+    the model.
     """
     if not updates:
         raise ConfigurationError("apply_global_update needs at least one update")
@@ -105,4 +117,4 @@ def apply_global_update(
         total += upd.delta
     out = v.values + rho * total
     check_finite(out, "global model after update")
-    return ParamVector(out)
+    return ParamVector._adopt(out)

@@ -89,9 +89,10 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
         )
     rho = cfg.resolve_rho()
     theory_warnings = cfg.theory_warnings()
-    v = np.array(init, dtype=float).copy()
+    v = np.array(init, dtype=float)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ConfigurationError("initial model must be a non-empty vector")
+    model = ParamVector(v)
 
     counters = RunCounters()
     metrics = MetricsSeries()
@@ -141,7 +142,7 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
         return version + 1 - min(outside) <= bound
 
     def apply_batch(now: float) -> None:
-        nonlocal version, batch, seq
+        nonlocal version, batch, seq, model
         t = version
         stalenesses = [t - push.base_version for push in batch]
         if policy == "block" and stalenesses and max(stalenesses) > bound:
@@ -152,8 +153,8 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             UpdateVector(push.delta, push.base_version, push.worker_id)
             for push in batch
         ]
-        new_v = apply_global_update(ParamVector(v), updates, rho(t))
-        v[:] = new_v.values
+        model = apply_global_update(model, updates, rho(t))
+        v = model.values
         version = t + 1
         for push, stale in zip(batch, stalenesses):
             applied_hist[stale] = applied_hist.get(stale, 0) + 1
@@ -230,7 +231,8 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             counters.pulls_served += 1
             pass_idx = pass_counter[w]
             pass_counter[w] += 1
-            delta, evals = _compute_pass(cfg, oracle, w, pass_idx, v)
+            delta, evals = _compute_pass(cfg, oracle, w, pass_idx,
+                                         model.values)
             counters.gradient_evals_computed += evals
             register(version)
             push = _Push(w, version, delta, evals)
@@ -249,7 +251,7 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
 
     final_wall = metrics.rows[-1][1] if metrics.rows else 0.0
     return RunResult(
-        final=ParamVector(v),
+        final=model,
         version=version,
         counters=counters,
         metrics=metrics,

@@ -19,11 +19,16 @@ import time
 
 import numpy as np
 
-from ..core import ParamVector, SharedSlab, UpdateVector, make_update_vector
+from ..core import SharedSlab, UpdateVector, make_update_vector
 from ..errors import TransportError, WireProtocolError
 from .config import RunConfig
 from .result import MetricsSeries, RunCounters, RunResult
-from .threaded import _transit_sample, master_collect_loop, run_local_pass
+from .threaded import (
+    LocalThreads,
+    _transit_sample,
+    master_collect_loop,
+    run_local_pass,
+)
 from . import wire
 
 _POLL_S = 0.05
@@ -231,12 +236,14 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
                    worker_id: int, attempts: int = 40) -> int:
     """Pull/compute/push against a remote master until SHUTDOWN.
 
-    Returns the number of completed passes.
+    The worker's p - 1 local helper threads live as long as its connection
+    and are joined before it returns or raises; an error in any local
+    thread is raised from here. Returns the number of completed passes.
     """
     sock = connect_with_retries(address, attempts=attempts)
     slab = SharedSlab(np.zeros(oracle.dim))
     passes = 0
-    try:
+    with sock, LocalThreads(cfg.p, name=f"worker{worker_id}-local") as local:
         while True:
             send_frame(sock, wire.encode_pull_req())
             got = read_frame(sock)
@@ -252,7 +259,7 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
                     f"model dim {body.values.shape[0]} != oracle dim {oracle.dim}"
                 )
             slab.load(body.values)
-            run_local_pass(cfg, oracle, slab, worker_id, passes)
+            run_local_pass(cfg, oracle, slab, worker_id, passes, local)
             update = make_update_vector(slab, body.values, body.version,
                                         worker_id)
             transit = _transit_sample(cfg, worker_id, passes)
@@ -261,8 +268,6 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
             send_frame(sock, wire.encode_push(worker_id, update.base_version,
                                               update.delta))
             passes += 1
-    finally:
-        sock.close()
 
 
 def run_tcp_master(cfg: RunConfig, oracle, init,
@@ -304,7 +309,7 @@ def run_tcp_master(cfg: RunConfig, oracle, init,
     counters.malformed_frames = server.malformed_frames
     counters.gradient_evals_computed = counters.pushes_received * cfg.p * cfg.B
     return RunResult(
-        final=ParamVector(final),
+        final=final,
         version=cfg.T,
         counters=counters,
         metrics=metrics,

@@ -1,9 +1,12 @@
 """Real-thread runtime: lock-free local threads, async master, in-process hub.
 
 The master runs in the calling thread and consumes a FIFO of delivered
-pushes; workers run in their own threads, each fanning out p local threads
-over a SharedSlab per pass. The hub publishes the model as an immutable
-(version, vector) pair swapped atomically, so pulls never block applies.
+pushes; workers run in their own threads, each running p local threads
+over a SharedSlab per pass. A worker keeps p - 1 long-lived helper threads
+(LocalThreads) for its whole life and runs local thread 0 itself, so a run
+holds at most nW * (p - 1) helpers, all joined when their worker exits.
+The hub publishes the model as an immutable (version, vector) pair swapped
+atomically, so pulls never block applies.
 """
 from __future__ import annotations
 
@@ -145,14 +148,99 @@ def simulate_compute_cost(cfg: RunConfig) -> None:
             pass
 
 
+class LocalThreads:
+    """A worker's long-lived helpers for local threads h = 1 .. p-1.
+
+    run(body) calls body(h) for every h in range(p): h = 0 in the calling
+    thread, the rest on the helpers, and returns once all have finished.
+    So a pass costs each helper one wake-up and one completion signal, not
+    a thread start and join. Each helper parks between passes on its own
+    binary semaphore (a plain Lock the caller releases). With p == 1 there
+    are no helpers. close() stops and joins them; use the pool as a context
+    manager so that happens on every exit path. Helpers are daemons only so
+    that one stuck in a gradient cannot hold the interpreter open.
+    """
+
+    def __init__(self, p: int, name: str = "local"):
+        n = p - 1
+        self._body = None
+        self._go = [threading.Lock() for _ in range(n)]
+        self._done = [threading.Lock() for _ in range(n)]
+        self._errors: list[BaseException | None] = [None] * n
+        for lock in self._go + self._done:
+            lock.acquire()
+        self._helpers = [
+            threading.Thread(target=self._serve, args=(i,),
+                             name=f"{name}-h{i + 1}", daemon=True)
+            for i in range(n)
+        ]
+        for th in self._helpers:
+            th.start()
+
+    def _serve(self, i: int) -> None:
+        go, done = self._go[i], self._done[i]
+        while True:
+            go.acquire()
+            body = self._body
+            if body is None:
+                return
+            try:
+                body(i + 1)
+            except BaseException as exc:  # re-raised by run() in its caller
+                self._errors[i] = exc
+            done.release()
+
+    def run(self, body) -> None:
+        """body(h) for h in range(p); raises the first error by h.
+
+        Every local thread has stopped before anything is raised, so the
+        caller never sees a slab that is still being written.
+        """
+        self._body = body
+        for go in self._go:
+            go.release()
+        try:
+            body(0)
+        finally:
+            for done in self._done:
+                done.acquire()
+            self._body = None
+            errors, self._errors = self._errors, [None] * len(self._errors)
+        for exc in errors:
+            if exc is not None:
+                raise exc
+
+    def close(self) -> None:
+        """Stop and join every helper; safe to call more than once."""
+        helpers, self._helpers = self._helpers, []
+        for go in self._go[: len(helpers)]:
+            go.release()  # _body is None between passes: the helper exits
+        for th in helpers:
+            th.join()
+
+    def __enter__(self) -> "LocalThreads":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def run_local_pass(
     cfg: RunConfig,
     oracle,
     slab: SharedSlab,
     worker_id: int,
     pass_idx: int,
+    local: LocalThreads,
 ) -> int:
-    """Fan p local threads over the slab for B steps each; returns evals."""
+    """One worker pass: p local threads take B lock-free steps each.
+
+    Local thread h draws its samples from
+    substream(seed, ROLE_SAMPLE, worker_id, h, pass_idx) and runs on
+    local, the worker's LocalThreads (h = 0 in the calling thread). An
+    error in any local thread is raised here once all p have stopped.
+    Returns the gradient evaluations made, p * B.
+    """
     size = cfg.problem.batch_size
 
     def thread_body(h: int) -> None:
@@ -164,16 +252,7 @@ def run_local_pass(
             simulate_compute_cost(cfg)
             slab.write_step(g, cfg.eta)
 
-    if cfg.p == 1:
-        thread_body(0)
-    else:
-        threads = [
-            threading.Thread(target=thread_body, args=(h,)) for h in range(cfg.p)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+    local.run(thread_body)
     return cfg.p * cfg.B
 
 
@@ -202,29 +281,31 @@ def worker_loop(
             trace=cfg.trace_overwrites,
             jitter_s=_TRACE_JITTER_S if cfg.trace_overwrites else 0.0,
         )
-        pass_idx = 0
-        while True:
-            pub = hub.pull(worker_id)
-            if pub.stop:
-                return
-            base = pub.values
-            slab.load(base)
-            run_local_pass(cfg, oracle, slab, worker_id, pass_idx)
-            update = make_update_vector(slab, base, pub.version, worker_id)
-            if cfg.trace_overwrites:
-                with traces_lock:
-                    traces.append(
-                        TraceBundle(
-                            worker_id=worker_id,
-                            pass_idx=pass_idx,
-                            base_version=pub.version,
-                            base=base.copy(),
-                            delta=update.delta.copy(),
-                            trace=slab.snapshot_trace(),
+        with LocalThreads(cfg.p, name=f"worker{worker_id}-local") as local:
+            pass_idx = 0
+            while True:
+                pub = hub.pull(worker_id)
+                if pub.stop:
+                    return
+                base = pub.values
+                slab.load(base)
+                run_local_pass(cfg, oracle, slab, worker_id, pass_idx, local)
+                update = make_update_vector(slab, base, pub.version,
+                                            worker_id)
+                if cfg.trace_overwrites:
+                    with traces_lock:
+                        traces.append(
+                            TraceBundle(
+                                worker_id=worker_id,
+                                pass_idx=pass_idx,
+                                base_version=pub.version,
+                                base=base.copy(),
+                                delta=update.delta.copy(),
+                                trace=slab.snapshot_trace(),
+                            )
                         )
-                    )
-            hub.push(update, _transit_sample(cfg, worker_id, pass_idx))
-            pass_idx += 1
+                hub.push(update, _transit_sample(cfg, worker_id, pass_idx))
+                pass_idx += 1
     except BaseException as exc:  # surfaced by the master after join
         errors.append(exc)
 
@@ -240,11 +321,12 @@ def master_collect_loop(
     applied_hist: dict[int, int],
     received_hist: dict[int, int],
     abort_check=None,
-) -> np.ndarray:
+) -> ParamVector:
     """The master's collect/apply loop, shared by inproc and TCP frontends.
 
     next_delivery() blocks until a push arrives; publish(version, values)
-    makes the new model visible to pulls.
+    makes the new model visible to pulls. Published arrays are read-only.
+    Returns the final model.
     """
     rho = cfg.resolve_rho()
     bound = cfg.delay.d_prime_bound
@@ -253,7 +335,7 @@ def master_collect_loop(
         raise ConfigurationError(
             "enforce='block' is only available on execution='simulated'"
         )
-    v = init.copy()
+    v = ParamVector(init)
     version = 0
     k_sample = cfg.grad_norm_every
     loss_fn = getattr(oracle, "loss_at", None)
@@ -281,10 +363,9 @@ def master_collect_loop(
                 counters.stale_applied_violations += 1
             batch.append(upd)
             stalenesses.append(stale)
-        new_v = apply_global_update(ParamVector(v), batch, rho(t))
-        v = new_v.copy_values()
+        v = apply_global_update(v, batch, rho(t))
         version += 1
-        publish(version, new_v.values)
+        publish(version, v.values)
         for upd, stale in zip(batch, stalenesses):
             applied_hist[stale] = applied_hist.get(stale, 0) + 1
             counters.pushes_applied += 1
@@ -293,14 +374,14 @@ def master_collect_loop(
         lo = float("nan")
         if k_sample and t % k_sample == 0:
             if grad_fn is not None:
-                g = np.asarray(grad_fn(v))
+                g = np.asarray(grad_fn(v.values))
                 gn = float(g @ g)
             if loss_fn is not None:
-                lo = float(loss_fn(v))
+                lo = float(loss_fn(v.values))
         metrics.append(
             t,
             time.monotonic() - start,
-            float(np.linalg.norm(v)),
+            float(np.linalg.norm(v.values)),
             max(stalenesses),
             float(np.mean(stalenesses)),
             gn,
@@ -363,7 +444,7 @@ def run_threaded(cfg: RunConfig, oracle, init) -> RunResult:
     counters.gradient_evals_computed = counters.pushes_received * cfg.p * cfg.B
 
     return RunResult(
-        final=ParamVector(final),
+        final=final,
         version=cfg.T,
         counters=counters,
         metrics=metrics,

@@ -15,6 +15,18 @@ def test_param_vector_is_immutable():
     assert v.values[0] == 0.0
 
 
+def test_apply_result_is_a_fresh_read_only_vector():
+    v = ParamVector(np.array([1.0, 2.0]))
+    upd = UpdateVector(np.array([0.5, -0.5]), base_version=0, worker_id=0)
+    out = apply_global_update(v, [upd], rho=1.0)
+    assert not out.values.flags.writeable
+    assert not np.shares_memory(out.values, v.values)
+    assert not np.shares_memory(out.values, upd.delta)
+    with pytest.raises(ValueError):
+        out.values[0] = 9.0
+    assert np.array_equal(v.values, [1.0, 2.0])
+
+
 def test_param_vector_rejects_bad_shapes():
     with pytest.raises(ConfigurationError):
         ParamVector(np.zeros((2, 2)))

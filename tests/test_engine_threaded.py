@@ -4,13 +4,15 @@ Thread interleavings make trajectories nondeterministic here, so these
 tests check structural invariants; exact-equivalence checks live with the
 simulated runtime.
 """
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from dpsgd.engine import DelayModel, ProblemSpec, RunConfig, build_oracle, run_with_oracle
-from dpsgd.engine.threaded import InprocHub
+from dpsgd.engine.threaded import InprocHub, LocalThreads
 from dpsgd.core import UpdateVector
 from dpsgd.errors import ConfigurationError, TransportError
 
@@ -105,17 +107,117 @@ def test_traced_run_with_delays_still_replays():
         assert np.array_equal(tr.trace.replay() - tr.base, tr.delta)
 
 
-def test_worker_failure_surfaces_as_transport_error():
-    class ExplodingOracle:
-        n = 10
-        dim = 3
+class ExplodingOracle:
+    n = 10
+    dim = 3
 
-        def grad_at(self, idx, x):
-            raise ValueError("bad gradient")
+    def grad_at(self, idx, x):
+        raise ValueError("bad gradient")
 
-    cfg = threaded_config(T=5, nW=1, p=1, B=1, M=1)
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_worker_failure_surfaces_as_transport_error(p):
+    # at p >= 2 the fault is raised in local threads h >= 1 as well; it
+    # must fail the run, not be dropped while the pass is pushed
+    cfg = threaded_config(T=5, nW=1, p=p, B=1, M=1)
     with pytest.raises(TransportError, match="worker failed"):
         run_with_oracle(cfg, ExplodingOracle())
+
+
+def test_local_threads_reraise_a_helper_error_after_all_stop():
+    finished = []
+
+    def body(h):
+        if h == 1:
+            raise ValueError("helper fault")
+        time.sleep(0.02)
+        finished.append(h)
+
+    with LocalThreads(3) as local:
+        with pytest.raises(ValueError, match="helper fault"):
+            local.run(body)
+        assert sorted(finished) == [0, 2]
+        # the pool stays usable and the error does not leak into the next pass
+        finished.clear()
+        local.run(lambda h: finished.append(h))
+        assert sorted(finished) == [0, 1, 2]
+
+
+def test_local_threads_run_each_h_once_per_pass_on_p_minus_1_helpers():
+    before = threading.active_count()
+    seen = []
+    lock = threading.Lock()
+
+    def body(h):
+        with lock:
+            seen.append((h, threading.get_ident()))
+
+    local = LocalThreads(4)
+    assert threading.active_count() == before + 3
+    for _ in range(5):
+        local.run(body)
+    local.close()
+    local.close()
+    assert threading.active_count() == before
+    assert sorted(h for h, _ in seen) == sorted(list(range(4)) * 5)
+    assert {ident for h, ident in seen if h == 0} == {threading.get_ident()}
+    # each helper keeps its thread across passes
+    assert len({ident for h, ident in seen if h > 0}) == 3
+    with LocalThreads(1) as single:
+        assert threading.active_count() == before
+        single.run(body)
+
+
+def test_local_threads_stress_every_pass_completes_before_run_returns():
+    # more local threads than cores and a tiny switch interval: a pass that
+    # returned before a helper finished, or a helper that ran twice or not
+    # at all, shows up as a wrong count
+    p, passes = 6, 300
+    counts = np.zeros((passes, p), dtype=int)
+    bad = []
+
+    def stress():
+        with LocalThreads(p) as local:
+            for k in range(passes):
+                def body(h, k=k):
+                    counts[k, h] += 1
+                    if h == p - 1 and k % 7 == 0:
+                        raise KeyError(k)
+
+                try:
+                    local.run(body)
+                except KeyError as exc:
+                    if exc.args[0] != k:
+                        bad.append(k)
+                else:
+                    if k % 7 == 0:
+                        bad.append(k)
+                if not (counts[k] == 1).all():
+                    bad.append(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        th = threading.Thread(target=stress, daemon=True)
+        th.start()
+        th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not th.is_alive()
+    assert bad == []
+    assert (counts == 1).all()
+
+
+@pytest.mark.parametrize("p,fail", [(2, False), (2, True), (1, False)])
+def test_threaded_run_leaves_no_thread_behind(p, fail):
+    cfg = threaded_config(T=6, p=p)
+    before = threading.active_count()
+    if fail:
+        with pytest.raises(TransportError, match="worker failed"):
+            run_with_oracle(cfg, ExplodingOracle())
+    else:
+        run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
+    assert threading.active_count() == before, threading.enumerate()
 
 
 def test_hub_starvation_raises():

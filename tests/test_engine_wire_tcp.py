@@ -1,5 +1,6 @@
 """Framing golden bytes, malformed-frame rejection, and localhost TCP runs."""
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -113,6 +114,33 @@ def test_localhost_tcp_run_completes():
     assert res.counters.pushes_applied == cfg.T * cfg.M
     assert res.counters.malformed_frames == 0
     assert len(res.metrics) == cfg.T
+
+
+class ExplodingOracle:
+    n = 10
+    dim = 3
+
+    def grad_at(self, idx, x):
+        raise ValueError("bad gradient")
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_tcp_worker_failure_surfaces_as_transport_error(p):
+    cfg = tcp_config(T=5, nW=1, p=p, B=1, M=1)
+    with pytest.raises(TransportError, match="worker failed"):
+        run_tcp(cfg, ExplodingOracle())
+
+
+@pytest.mark.parametrize("p,fail", [(2, False), (2, True), (1, False)])
+def test_tcp_run_leaves_no_thread_behind(p, fail):
+    cfg = tcp_config(T=6, p=p)
+    before = threading.active_count()
+    if fail:
+        with pytest.raises(TransportError, match="worker failed"):
+            run_tcp(cfg, ExplodingOracle())
+    else:
+        run_tcp(cfg, build_oracle(cfg.problem, cfg.seed))
+    assert threading.active_count() == before, threading.enumerate()
 
 
 def _client(server):
