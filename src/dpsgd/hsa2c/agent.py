@@ -8,6 +8,7 @@ runner negates the policy block so a descent step ascends the reward.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,20 +122,23 @@ def rollout(
 ) -> Trajectory:
     """Sample up to t_max policy steps, advancing env in place.
 
-    Actions are drawn from softmax(theta[state]) via inverse transform on
-    rng, so a given rng stream fixes the whole segment.
+    Actions are drawn from softmax(theta[state]) by inverse transform:
+    each step takes exactly one rng.random() and finds it in the
+    cumulative policy row of the current state, so a given rng stream
+    fixes the whole segment. theta is fixed for the call, so the
+    cumulative table is built once, from policy_matrix, not per step.
     """
     if t_max < 1:
         raise ConfigurationError(f"t_max must be >= 1, got {t_max}")
     if env.done:
         raise ConfigurationError("environment is finished; reset before rollout")
+    cdf = np.cumsum(policy_matrix(params.theta), axis=1).tolist()
+    # cdf[-1] can fall a few ulps short of 1; clamp the overflow bin
+    last = params.n_actions - 1
     states, actions, rewards = [], [], []
     for _ in range(t_max):
         s = env.state
-        cdf = np.cumsum(policy_probs(params.theta, s))
-        # cdf[-1] can fall a few ulps short of 1; clamp the overflow bin
-        a = min(int(np.searchsorted(cdf, rng.random(), side="right")),
-                params.n_actions - 1)
+        a = min(bisect.bisect_right(cdf[s], rng.random()), last)
         _, r, done = env.step(a)
         states.append(s)
         actions.append(a)
@@ -150,12 +154,13 @@ def rollout(
 
 def kstep_returns(traj: Trajectory, gamma_rl: float) -> np.ndarray:
     """Backward recurrence R <- r + gamma * R seeded with the bootstrap."""
-    out = np.empty(traj.length)
+    out = [0.0] * traj.length
     acc = traj.bootstrap
+    rewards = traj.rewards.tolist()
     for i in range(traj.length - 1, -1, -1):
-        acc = traj.rewards[i] + gamma_rl * acc
+        acc = rewards[i] + gamma_rl * acc
         out[i] = acc
-    return out
+    return np.array(out)
 
 
 def ac_gradients(
@@ -167,6 +172,9 @@ def ac_gradients(
                   advantage held constant in the policy term;
     grad_v      = sum_i d(R_i - V(s_i))^2 / d theta_v = -2 (R_i - V) at
                   each visited state's slot.
+
+    Steps are added in order on Python floats, with the policy table
+    built once per call.
     """
     returns = np.asarray(returns, dtype=float)
     if returns.shape != (traj.length,):
@@ -174,14 +182,16 @@ def ac_gradients(
             f"returns shape {returns.shape} does not match trajectory "
             f"length {traj.length}"
         )
-    g_theta = np.zeros_like(params.theta)
-    g_v = np.zeros_like(params.theta_v)
-    for i in range(traj.length):
-        s = int(traj.states[i])
-        a = int(traj.actions[i])
-        adv = returns[i] - params.theta_v[s]
-        probs = policy_probs(params.theta, s)
-        g_theta[s] -= adv * probs
-        g_theta[s, a] += adv
+    probs = policy_matrix(params.theta).tolist()
+    values = params.theta_v.tolist()
+    g_theta = np.zeros_like(params.theta).tolist()
+    g_v = [0.0] * params.n_states
+    for s, a, ret in zip(traj.states.tolist(), traj.actions.tolist(),
+                         returns.tolist()):
+        adv = ret - values[s]
+        row = g_theta[s]
+        for j, p in enumerate(probs[s]):
+            row[j] -= adv * p
+        row[a] += adv
         g_v[s] -= 2.0 * adv
-    return g_theta, g_v
+    return np.array(g_theta), np.array(g_v)

@@ -19,6 +19,7 @@ import numpy as np
 from ..engine import ProblemSpec, RunConfig, RunResult, run_with_oracle
 from ..engine.rng import ROLE_ENV, ROLE_SAMPLE, draw_indices, substream
 from ..errors import ConfigurationError
+from ..problems import _check_index
 from .agent import ActorCriticParams, ac_gradients, kstep_returns, rollout
 from .env import N_ACTIONS, ToyEnv
 
@@ -65,7 +66,7 @@ class GridworldOracle:
         return g_theta, g_v, env.steps_taken, total_reward
 
     def grad_at(self, i, x) -> np.ndarray:
-        idx = np.atleast_1d(np.asarray(i, dtype=np.int64))
+        idx = _check_index(i, self.n)
         params = ActorCriticParams.from_vector(
             x, self.env.n_states, N_ACTIONS
         )

@@ -16,6 +16,7 @@ from .corpus import (
 from .inference import (
     dirichlet_expectation,
     doc_elbo,
+    estep_docs,
     local_estep,
     natural_gradient,
     perplexity,
@@ -38,6 +39,7 @@ __all__ = [
     "dirichlet_expectation",
     "doc_elbo",
     "dpsvi_config",
+    "estep_docs",
     "heldout_split",
     "init_lambda",
     "load_uci_bow",

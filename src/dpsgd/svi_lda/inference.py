@@ -1,7 +1,10 @@
 """The variational core: E-step, natural gradient, perplexity.
 
 Everything here is deterministic given its inputs; stochasticity lives
-in the runner that picks document minibatches.
+in the runner that picks document minibatches. The E-step runs a whole
+minibatch at once (estep_docs); a document's result does not depend on
+which batch it is in, so one-document calls (local_estep) agree with it
+bit for bit.
 """
 from __future__ import annotations
 
@@ -40,6 +43,110 @@ def dirichlet_expectation(param) -> np.ndarray:
     return psi(arr) - psi(arr.sum(axis=1))[:, None]
 
 
+def _topic_sums(a: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered K x n array, added topic after topic.
+
+    np.add.reduce over axis 0 adds whole rows in order when n >= 2 but
+    sums a lone column pairwise; accumulate keeps that case in order, so
+    a column's sum never depends on how many columns sit beside it.
+    """
+    if a.shape[1] == 1:
+        return np.add.accumulate(a, axis=0)[-1]
+    return np.add.reduce(a, axis=0)
+
+
+def _exp_elogtheta(gamma: np.ndarray) -> np.ndarray:
+    """exp(E[log theta]) for each column of a K x n gamma."""
+    return np.exp(psi(gamma) - psi(_topic_sums(gamma)))
+
+
+def estep_docs(
+    model: LdaModel,
+    docs: list[Document],
+    tol: float = E_STEP_TOL,
+    max_iters: int = E_STEP_MAX_ITERS,
+    expected_log_beta: np.ndarray | None = None,
+) -> list[DocState]:
+    """Coordinate ascent on (gamma, phi) for every document of a batch.
+
+    Each document runs until the mean absolute change of its gamma drops
+    below tol, or for max_iters sweeps, and records its own sweep count.
+    A converged document keeps the exp(E[log theta]) that produced its
+    gamma, so gamma == alpha_doc + sum_u counts_u * phi_u holds at
+    return; one stopped by max_iters gets phi from its final gamma.
+
+    The batch is swept together on topic-major arrays (K rows, one
+    column per document or per distinct word), gathered once per call
+    and compacted only when documents stop. Every operation is
+    elementwise, a sum over topics in topic order, or a sum over one
+    document's own words, so a document's state is bitwise the same
+    whatever batch it is swept in. Pass expected_log_beta to amortise
+    the global digamma across calls on the same model.
+    """
+    if not docs:
+        raise ConfigurationError("E-step needs at least one document")
+    if any(doc.n_distinct == 0 for doc in docs):
+        raise ConfigurationError("E-step needs nonempty documents")
+    if max_iters < 1:
+        raise ConfigurationError("max_iters must be >= 1")
+    elb = (
+        dirichlet_expectation(model.lam)
+        if expected_log_beta is None
+        else expected_log_beta
+    )
+    n_words = np.array([doc.n_distinct for doc in docs])
+    exp_elb = np.exp(elb[:, np.concatenate([doc.word_ids for doc in docs])])
+    lengths = np.array([doc.length for doc in docs], dtype=float)
+    g = np.repeat((model.alpha_doc + lengths / model.K)[None, :], model.K,
+                  axis=0)
+    exp_elogtheta = _exp_elogtheta(g)
+
+    # working set: the documents still sweeping, their gamma g and their
+    # words; results go to gamma, theta_out and sweeps as documents stop
+    gamma, theta_out = np.empty_like(g), np.empty_like(g)
+    sweeps = np.full(len(docs), max_iters)
+    active, n_active = np.arange(len(docs)), n_words
+    ew = exp_elb
+    counts = np.concatenate([doc.counts for doc in docs]).astype(float)
+    starts = n_words.cumsum() - n_words
+    for sweep in range(1, max_iters + 1):
+        # implicit phi: phi_uk proportional to exp(Elogtheta_k) * exp(Elogbeta_ku)
+        phinorm = _topic_sums(exp_elogtheta.repeat(n_active, axis=1) * ew)
+        phinorm += _PHI_NORM_GUARD
+        g_new = model.alpha_doc + exp_elogtheta * np.add.reduceat(
+            ew * (counts / phinorm), starts, axis=1
+        )
+        done = _topic_sums(np.abs(g_new - g)) / model.K < tol
+        g = g_new
+        n_done = np.count_nonzero(done)
+        if n_done:
+            stopped = active[done]
+            gamma[:, stopped] = g[:, done]
+            theta_out[:, stopped] = exp_elogtheta[:, done]
+            sweeps[stopped] = sweep
+            if n_done == active.shape[0]:
+                break
+            keep = ~done
+            keep_words = keep.repeat(n_active)
+            ew, counts = ew.compress(keep_words, axis=1), counts[keep_words]
+            active, g = active[keep], g.compress(keep, axis=1)
+            n_active = n_words[active]
+            starts = n_active.cumsum() - n_active
+        exp_elogtheta = _exp_elogtheta(g)
+    else:
+        gamma[:, active] = g
+        theta_out[:, active] = exp_elogtheta
+
+    # explicit phi rows from each document's final exp_elogtheta
+    phi = exp_elb * np.repeat(theta_out, n_words, axis=1)
+    phi /= _topic_sums(phi)
+    gamma, phi = np.ascontiguousarray(gamma.T), np.ascontiguousarray(phi.T)
+    return [
+        DocState(gamma=gamma[j], phi=phi_j, sweeps=int(sweeps[j]))
+        for j, phi_j in enumerate(np.split(phi, np.cumsum(n_words)[:-1]))
+    ]
+
+
 def local_estep(
     model: LdaModel,
     doc: Document,
@@ -49,41 +156,10 @@ def local_estep(
 ) -> DocState:
     """Coordinate ascent on (gamma, phi) for one document.
 
-    Runs until the mean absolute gamma change drops below tol or
-    max_iters sweeps. Pass expected_log_beta to amortise the global
-    digamma across many documents of the same model.
+    The one-document case of estep_docs, so its result is bitwise what
+    the document gets inside any batch.
     """
-    if doc.n_distinct == 0:
-        raise ConfigurationError("local_estep needs a nonempty document")
-    if max_iters < 1:
-        raise ConfigurationError("max_iters must be >= 1")
-    elb = (
-        dirichlet_expectation(model.lam)
-        if expected_log_beta is None
-        else expected_log_beta
-    )
-    exp_elb_doc = np.exp(elb[:, doc.word_ids])  # K x U
-    counts = doc.counts.astype(float)
-    gamma = np.full(model.K, model.alpha_doc + doc.length / model.K)
-    exp_elogtheta = np.exp(dirichlet_expectation(gamma))
-    sweeps = 0
-    for _ in range(max_iters):
-        # implicit phi: phi_uk proportional to exp(Elogtheta_k) * exp(Elogbeta_ku)
-        phinorm = exp_elogtheta @ exp_elb_doc + _PHI_NORM_GUARD
-        gamma_new = model.alpha_doc + exp_elogtheta * (
-            exp_elb_doc @ (counts / phinorm)
-        )
-        change = float(np.abs(gamma_new - gamma).mean())
-        gamma = gamma_new
-        sweeps += 1
-        if change < tol:
-            break
-        exp_elogtheta = np.exp(dirichlet_expectation(gamma))
-    # explicit phi rows from the same exp_elogtheta that produced gamma,
-    # so gamma == alpha_doc + sum_u counts_u * phi_u holds at return
-    phi = (exp_elogtheta[None, :] * exp_elb_doc.T)
-    phi = phi / phi.sum(axis=1, keepdims=True)
-    return DocState(gamma=gamma, phi=phi, sweeps=sweeps)
+    return estep_docs(model, [doc], tol, max_iters, expected_log_beta)[0]
 
 
 def doc_elbo(
@@ -154,24 +230,23 @@ def perplexity(
 ) -> float:
     """Geometric mean of inverse per-word predictive probability.
 
-    Each held-out document gets a fresh E-step; a word's probability is
-    the posterior-mean mixture sum_k thetabar_k betabar_kw. A model with
-    every topic uniform over the vocabulary scores exactly V_vocab.
+    The held-out documents get a fresh E-step, all in one estep_docs
+    call; a word's probability is the posterior-mean mixture
+    sum_k thetabar_k betabar_kw. A model with every topic uniform over
+    the vocabulary scores exactly V_vocab.
     """
     if held_out.n_docs == 0:
         raise ConfigurationError("perplexity needs a nonempty held-out corpus")
+    docs = [doc for doc in held_out.docs if doc.n_distinct]
+    if not docs:
+        raise ConfigurationError("held-out corpus has no tokens")
     beta_bar = model.mean_beta()
-    elb = dirichlet_expectation(model.lam)
+    states = estep_docs(model, docs, tol, max_iters)
     total_ll = 0.0
     total_tokens = 0
-    for doc in held_out.docs:
-        if doc.n_distinct == 0:
-            continue
-        state = local_estep(model, doc, tol, max_iters, expected_log_beta=elb)
+    for doc, state in zip(docs, states):
         theta_bar = state.gamma / state.gamma.sum()
         word_probs = theta_bar @ beta_bar[:, doc.word_ids]
         total_ll += float(doc.counts @ np.log(word_probs))
         total_tokens += doc.length
-    if total_tokens == 0:
-        raise ConfigurationError("held-out corpus has no tokens")
     return float(np.exp(-total_ll / total_tokens))

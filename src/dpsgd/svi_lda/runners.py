@@ -16,12 +16,12 @@ import numpy as np
 from ..engine import ProblemSpec, RunConfig, RunResult, run_with_oracle
 from ..engine.rng import ROLE_SAMPLE, draw_indices, substream
 from ..errors import ConfigurationError
+from ..problems import _check_index
 from .corpus import Corpus
 from .inference import (
     E_STEP_MAX_ITERS,
     E_STEP_TOL,
-    dirichlet_expectation,
-    local_estep,
+    estep_docs,
     natural_gradient,
     perplexity,
 )
@@ -77,15 +77,10 @@ class LdaSviOracle:
         return self.template.with_lambda(lam)
 
     def grad_at(self, i, x) -> np.ndarray:
-        idx = np.atleast_1d(np.asarray(i, dtype=np.int64))
+        idx = _check_index(i, self.n)
         model = self.model_at(x)
-        elb = dirichlet_expectation(model.lam)
         batch = [self.corpus.docs[j] for j in idx]
-        states = [
-            local_estep(model, doc, self.tol, self.max_iters,
-                        expected_log_beta=elb)
-            for doc in batch
-        ]
+        states = estep_docs(model, batch, self.tol, self.max_iters)
         return natural_gradient(model, batch, states).ravel()
 
     def full_grad(self, x) -> np.ndarray:
@@ -119,12 +114,8 @@ def serial_svi(
         rng = substream(seed, ROLE_SAMPLE, 0, 0, t)
         idx = np.atleast_1d(draw_indices(rng, corpus.n_docs, G))
         model = model0.with_lambda(lam)
-        elb = dirichlet_expectation(model.lam)
         batch = [corpus.docs[j] for j in idx]
-        states = [
-            local_estep(model, doc, tol, max_iters, expected_log_beta=elb)
-            for doc in batch
-        ]
+        states = estep_docs(model, batch, tol, max_iters)
         g = natural_gradient(model, batch, states)
         u = lam.copy()
         u -= 1.0 * g

@@ -1,12 +1,17 @@
-"""Independent numeric oracles used by the test suite.
+"""Independent numeric oracles and reference loops used by the test suite.
 
-These are written against textbook definitions, not against the package
-code, so agreement is evidence rather than tautology.
+The numeric oracles are written against textbook definitions, not
+against the package code, so agreement is evidence rather than
+tautology. The reference loops are the plain per-step forms of package
+functions that were later optimised; the optimised forms must match
+them bit for bit.
 """
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from dpsgd.hsa2c import Trajectory, policy_probs
 
 _SHIFT_TO = 30.0  # recurrence shift target before applying the series
 _N_SERIES_TERMS = 25  # B_2 .. B_50: a 50th-order asymptotic tail
@@ -52,3 +57,48 @@ def dirichlet_expectation_series(param) -> np.ndarray:
     arr = np.asarray(param, dtype=float)
     total = digamma_series(float(arr.sum()))
     return np.array([digamma_series(float(v)) for v in arr]) - total
+
+
+# --- per-step actor-critic references ---
+# These recompute the state's softmax row at every step, where the
+# package builds the policy table once per call.
+
+
+def rollout_per_step(env, params, t_max, rng):
+    states, actions, rewards = [], [], []
+    for _ in range(t_max):
+        s = env.state
+        cdf = np.cumsum(policy_probs(params.theta, s))
+        a = min(int(np.searchsorted(cdf, rng.random(), side="right")),
+                params.n_actions - 1)
+        _, r, done = env.step(a)
+        states.append(s)
+        actions.append(a)
+        rewards.append(r)
+        if done:
+            break
+    bootstrap = 0.0 if env.done else float(params.theta_v[env.state])
+    return Trajectory(np.array(states), np.array(actions), np.array(rewards),
+                      bootstrap, env.reached_goal)
+
+
+def kstep_returns_per_step(traj, gamma_rl):
+    out = np.empty(traj.length)
+    acc = traj.bootstrap
+    for i in range(traj.length - 1, -1, -1):
+        acc = traj.rewards[i] + gamma_rl * acc
+        out[i] = acc
+    return out
+
+
+def ac_gradients_per_step(traj, returns, params):
+    g_theta = np.zeros_like(params.theta)
+    g_v = np.zeros_like(params.theta_v)
+    for i in range(traj.length):
+        s = int(traj.states[i])
+        a = int(traj.actions[i])
+        adv = returns[i] - params.theta_v[s]
+        g_theta[s] -= adv * policy_probs(params.theta, s)
+        g_theta[s, a] += adv
+        g_v[s] -= 2.0 * adv
+    return g_theta, g_v

@@ -7,6 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _oracles import (
+    ac_gradients_per_step,
+    kstep_returns_per_step,
+    rollout_per_step,
+)
 from dpsgd.engine.rng import ROLE_ENV, substream
 from dpsgd.errors import ConfigurationError
 from dpsgd.hsa2c import (
@@ -130,6 +135,103 @@ def test_uniform_rollouts_match_exact_policy_evaluation():
         returns[i] = total
     sem = returns.std(ddof=1) / np.sqrt(returns.shape[0])
     assert abs(returns.mean() - uniform_policy_return(env0)) <= 3 * sem
+
+
+# --- policy table built once per call == per-step reference ---
+
+
+def assert_same_trajectory(got, want):
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.actions, want.actions)
+    assert np.array_equal(got.rewards, want.rewards)
+    assert got.bootstrap == want.bootstrap
+    assert got.reached_goal == want.reached_goal
+
+
+def same_rng_state(a, b) -> bool:
+    def equal(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(equal(x[k], y[k]) for k in x)
+        return np.array_equal(x, y)
+
+    return equal(a.bit_generator.state, b.bit_generator.state)
+
+
+def run_episode_against_reference(env0, params, t_max, seed):
+    """Whole episode, segment by segment, in both forms side by side."""
+    env, ref_env = replace(env0), replace(env0)
+    rng, ref_rng = substream(seed, ROLE_ENV, 0), substream(seed, ROLE_ENV, 0)
+    while not env.done:
+        traj = rollout(env, params, t_max, rng)
+        want = rollout_per_step(ref_env, params, t_max, ref_rng)
+        assert_same_trajectory(traj, want)
+        assert same_rng_state(rng, ref_rng)
+        assert (env.state, env.steps_taken) == (ref_env.state,
+                                                ref_env.steps_taken)
+        returns = kstep_returns(traj, env.gamma_rl)
+        assert np.array_equal(returns,
+                              kstep_returns_per_step(want, env.gamma_rl))
+        g_theta, g_v = ac_gradients(traj, returns, params)
+        want_theta, want_v = ac_gradients_per_step(want, returns, params)
+        assert np.array_equal(g_theta, want_theta)
+        assert np.array_equal(g_v, want_v)
+    assert ref_env.done
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(np.float64, (25, N_ACTIONS),
+           elements=st.floats(-60, 60, allow_nan=False)),
+    arrays(np.float64, (25,), elements=st.floats(-5, 5, allow_nan=False)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+)
+def test_rollout_and_gradients_match_per_step_reference(theta, theta_v, seed,
+                                                        t_max):
+    run_episode_against_reference(
+        ToyEnv(t_max_episode=60), ActorCriticParams(theta, theta_v), t_max,
+        seed,
+    )
+
+
+def test_seeded_episodes_match_per_step_reference():
+    rng = np.random.default_rng(8)
+    params = ActorCriticParams(rng.normal(size=(25, N_ACTIONS)),
+                               rng.normal(size=25))
+    for seed in range(20):
+        run_episode_against_reference(ToyEnv(), params, 20, seed)
+
+
+class ScriptedUniforms:
+    """Stands in for a Generator: returns the given draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_rollout_ties_and_overflow_match_reference():
+    # draws on a cdf boundary go to the next action (side="right"), and
+    # a draw at or above the last cdf entry clamps to the last action
+    theta = np.log(np.array([[0.1, 0.2, 0.3, 0.4]] * 4))
+    params = ActorCriticParams(theta, np.zeros(4))
+    cdf = np.cumsum(policy_matrix(theta)[0])
+    draws = [0.0, cdf[0], cdf[1], cdf[2], cdf[3], 1.0]
+    env0 = ToyEnv(side=2, start=(0, 0), goal=(1, 1), t_max_episode=6)
+    # an action that steps onto the goal would end the segment early, so
+    # compare one scripted draw at a time from the start cell
+    for u in draws:
+        env, ref_env = replace(env0), replace(env0)
+        got = rollout(env, params, 1, ScriptedUniforms([u]))
+        want = rollout_per_step(ref_env, params, 1, ScriptedUniforms([u]))
+        assert_same_trajectory(got, want)
+    got_actions = [
+        rollout(replace(env0), params, 1, ScriptedUniforms([u])).actions[0]
+        for u in draws
+    ]
+    assert got_actions == [0, 1, 2, 3, 3, 3]
 
 
 # --- k-step returns ---

@@ -53,6 +53,14 @@ def test_oracle_gradient_is_pure_in_index_and_params():
     assert len(oracle.episode_returns) == 4
 
 
+@pytest.mark.parametrize("index", [-1, INDEX_POOL, 2**31, [5, 2**31], []])
+def test_oracle_rejects_out_of_range_indices(index):
+    oracle = GridworldOracle(ToyEnv(), seed=0, t_max=20)
+    with pytest.raises(ConfigurationError, match="index"):
+        oracle.grad_at(index, ActorCriticParams.zeros(25).to_vector())
+    assert oracle.env_steps == 0
+
+
 def test_oracle_history_tracks_steps_and_window_mean():
     oracle = GridworldOracle(ToyEnv(), seed=2, t_max=20)
     x = ActorCriticParams.zeros(25).to_vector()

@@ -10,6 +10,7 @@ from dpsgd.svi_lda import (
     LdaModel,
     dirichlet_expectation,
     doc_elbo,
+    estep_docs,
     init_lambda,
     local_estep,
     natural_gradient,
@@ -135,6 +136,45 @@ def test_estep_rejects_empty_doc():
         local_estep(model, doc_of([], []))
 
 
+def assert_same_state(got, want):
+    assert np.array_equal(got.gamma, want.gamma)
+    assert np.array_equal(got.phi, want.phi)
+    assert got.sweeps == want.sweeps
+
+
+@pytest.mark.parametrize("K", [3, 10])
+def test_estep_docs_is_bitwise_batch_invariant(K):
+    corpus, _ = synthetic_corpus(n_docs=14, vocab_size=40, k_topics=4, seed=7)
+    model = make_model(K=K, V=40, n_docs=14, seed=11)
+    # a lone-word document and a two-word one next to the synthetic ones
+    docs = corpus.docs + [doc_of([7], [3]), doc_of([2, 9], [1, 1])]
+    tol = 1e-6
+    uncapped = [local_estep(model, d, tol, 500).sweeps for d in docs]
+    cap = sorted(uncapped)[len(docs) // 2]
+    # the cap must leave documents stopping at different sweeps and some
+    # cut off by max_iters, so the batch shrinks while it runs
+    assert len({n for n in uncapped if n < cap}) >= 2
+    assert any(n > cap for n in uncapped)
+    alone = [local_estep(model, d, tol, cap) for d in docs]
+    assert [a.sweeps for a in alone] == [min(n, cap) for n in uncapped]
+    order = np.random.default_rng(3).permutation(len(docs))
+    for batch in (list(range(len(docs))), list(order), order[::2].tolist(),
+                  [len(docs) - 2] * 3 + [0]):
+        states = estep_docs(model, [docs[j] for j in batch], tol, cap)
+        for j, state in zip(batch, states):
+            assert_same_state(state, alone[j])
+
+
+def test_estep_docs_validation():
+    model = make_model()
+    with pytest.raises(ConfigurationError, match="at least one"):
+        estep_docs(model, [])
+    with pytest.raises(ConfigurationError, match="nonempty"):
+        estep_docs(model, [doc_of([1], [2]), doc_of([], [])])
+    with pytest.raises(ConfigurationError, match="max_iters"):
+        estep_docs(model, [doc_of([1], [2])], max_iters=0)
+
+
 def test_elbo_never_decreases_across_sweeps():
     corpus, _ = synthetic_corpus(n_docs=100, vocab_size=25, k_topics=4, seed=9)
     model = make_model(K=4, V=25, n_docs=100, seed=3)
@@ -229,6 +269,23 @@ def test_perplexity_invariant_to_duplication():
     a = perplexity(model, corpus)
     b = perplexity(model, doubled)
     assert abs(a - b) < 1e-12
+
+
+def test_perplexity_skips_empty_documents_and_matches_per_doc_estep():
+    corpus, _ = synthetic_corpus(n_docs=15, vocab_size=20, k_topics=3, seed=2)
+    model = make_model(K=3, V=20, n_docs=15, seed=4)
+    beta_bar = model.mean_beta()
+    total_ll, total_tokens = 0.0, 0
+    for doc in corpus.docs:
+        state = local_estep(model, doc)
+        theta_bar = state.gamma / state.gamma.sum()
+        word_probs = theta_bar @ beta_bar[:, doc.word_ids]
+        total_ll += float(doc.counts @ np.log(word_probs))
+        total_tokens += doc.length
+    held = Corpus(docs=[doc_of([], [])] + corpus.docs, vocab=corpus.vocab)
+    assert perplexity(model, held) == float(np.exp(-total_ll / total_tokens))
+    with pytest.raises(ConfigurationError, match="no tokens"):
+        perplexity(model, Corpus(docs=[doc_of([], [])], vocab=corpus.vocab))
 
 
 def test_perplexity_rejects_empty_corpus():
