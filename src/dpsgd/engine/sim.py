@@ -23,7 +23,7 @@ from ..core import ParamVector, UpdateVector, apply_global_update, check_finite
 from ..errors import ConfigurationError, TransportError
 from .config import RunConfig
 from .result import MetricsSeries, RunCounters, RunResult
-from .rng import ROLE_DELAY, ROLE_SAMPLE, draw_indices, substream
+from .rng import ROLE_DELAY, ROLE_SAMPLE, draw_pass_indices, substream
 
 _DELIVER = 0
 _PULL = 1
@@ -42,15 +42,15 @@ def _compute_pass(cfg: RunConfig, oracle, w: int, pass_idx: int, v: np.ndarray):
 
     Sequential unrolling is one valid lock-free execution (every store
     survives); thread h always consumes its own stream, so the schedule
-    does not change what is sampled.
+    does not change what is sampled. Each thread draws the indices of
+    its B steps in one call, equal to B draw_indices calls.
     """
     u = v.copy()
     evals = 0
     size = cfg.problem.batch_size
     for h in range(cfg.p):
         rng = substream(cfg.seed, ROLE_SAMPLE, w, h, pass_idx)
-        for _ in range(cfg.B):
-            idx = draw_indices(rng, oracle.n, size)
+        for idx in draw_pass_indices(rng, oracle.n, cfg.B, size):
             g = np.asarray(oracle.grad_at(idx, u), dtype=float)
             check_finite(g, "local gradient")
             u -= cfg.eta * g

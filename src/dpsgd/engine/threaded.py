@@ -28,7 +28,7 @@ from ..core import (
 from ..errors import ConfigurationError, TransportError
 from .config import RunConfig
 from .result import MetricsSeries, RunCounters, RunResult, TraceBundle
-from .rng import ROLE_DELAY, ROLE_SAMPLE, draw_indices, substream
+from .rng import ROLE_DELAY, ROLE_SAMPLE, draw_pass_indices, substream
 
 _QUEUE_TIMEOUT_S = 60.0
 _TRACE_JITTER_S = 2e-4
@@ -235,19 +235,19 @@ def run_local_pass(
 ) -> int:
     """One worker pass: p local threads take B lock-free steps each.
 
-    Local thread h draws its samples from
-    substream(seed, ROLE_SAMPLE, worker_id, h, pass_idx) and runs on
-    local, the worker's LocalThreads (h = 0 in the calling thread). An
-    error in any local thread is raised here once all p have stopped.
+    Local thread h draws the indices of its B steps in one call on
+    substream(seed, ROLE_SAMPLE, worker_id, h, pass_idx), equal to B
+    draw_indices calls, and runs on local, the worker's LocalThreads
+    (h = 0 in the calling thread). An error in any local thread is
+    raised here once all p have stopped.
     Returns the gradient evaluations made, p * B.
     """
     size = cfg.problem.batch_size
 
     def thread_body(h: int) -> None:
         rng = substream(cfg.seed, ROLE_SAMPLE, worker_id, h, pass_idx)
-        for _ in range(cfg.B):
+        for idx in draw_pass_indices(rng, oracle.n, cfg.B, size):
             u_hat = slab.read()
-            idx = draw_indices(rng, oracle.n, size)
             g = oracle.grad_at(idx, u_hat)
             simulate_compute_cost(cfg)
             slab.write_step(g, cfg.eta)

@@ -22,12 +22,22 @@ _SIGMOID_D2_MAX = 1.0 / (6.0 * np.sqrt(3.0))
 
 
 def _check_index(i, n: int) -> np.ndarray:
-    idx = np.atleast_1d(np.asarray(i, dtype=np.int64))
+    idx = np.atleast_1d(np.asarray(i))
     if idx.size == 0:
         raise ConfigurationError("empty component index batch")
-    if (idx < 0).any() or (idx >= n).any():
+    if idx.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"component index must be an integer, got dtype {idx.dtype}"
+        )
+    if idx.min() < 0 or idx.max() >= n:
         raise ConfigurationError(f"component index out of range [0, {n})")
-    return idx
+    return idx.astype(np.int64, copy=False)
+
+
+def _row_mean(rows: np.ndarray) -> np.ndarray:
+    # rows.mean(axis=0) without its Python wrapper: the same sum, then the
+    # same division by the row count, so bitwise equal
+    return np.add.reduce(rows, axis=0) / rows.shape[0]
 
 
 class QuadraticOracle:
@@ -56,7 +66,7 @@ class QuadraticOracle:
 
     def grad_at(self, i, x) -> np.ndarray:
         idx = _check_index(i, self.n)
-        return np.asarray(x, dtype=float) - self.centers[idx].mean(axis=0)
+        return np.asarray(x, dtype=float) - _row_mean(self.centers[idx])
 
     def full_grad(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) - self.centers.mean(axis=0)
@@ -104,23 +114,24 @@ class SigmoidOracle:
         self.L = float(_SIGMOID_D2_MAX * row_sq.mean())
         self.V_bound = float(_SIGMOID_D1_MAX * np.sqrt(row_sq).max())
 
-    def _margins(self, idx, x):
-        return self.labels[idx] * (self.features[idx] @ np.asarray(x, dtype=float))
-
-    def grad_at(self, i, x) -> np.ndarray:
-        idx = _check_index(i, self.n)
-        z = self._margins(idx, x)
+    @staticmethod
+    def _grad(rows, labels, x) -> np.ndarray:
+        z = labels * (rows @ np.asarray(x, dtype=float))
         s = 1.0 / (1.0 + np.exp(-z))
         # d/dx sigmoid(y a.x) ... f_i = sigmoid(-y a.x), so the slope is
         # -y * s * (1 - s) with s = sigmoid(y a.x)
-        coeff = -self.labels[idx] * s * (1.0 - s)
-        return (coeff[:, None] * self.features[idx]).mean(axis=0)
+        coeff = -labels * s * (1.0 - s)
+        return _row_mean(coeff[:, None] * rows)
+
+    def grad_at(self, i, x) -> np.ndarray:
+        idx = _check_index(i, self.n)
+        return self._grad(self.features[idx], self.labels[idx], x)
 
     def full_grad(self, x) -> np.ndarray:
-        return self.grad_at(np.arange(self.n), x)
+        return self._grad(self.features, self.labels, x)
 
     def loss_at(self, x) -> float:
-        z = self._margins(np.arange(self.n), x)
+        z = self.labels * (self.features @ np.asarray(x, dtype=float))
         return float((1.0 / (1.0 + np.exp(z))).mean())
 
 

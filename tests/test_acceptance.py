@@ -215,24 +215,38 @@ def _throughput_base(tmp_path) -> RunConfig:
     )
 
 
+def _median_scaling_ratios(tmp_path, axis: str, points: list[int],
+                           repeats: int = 3) -> dict[int, float]:
+    """Throughput ratio of each point against points[0], median of repeats.
+
+    Each repeat is a sweep with its own reference run, and the run order
+    rotates between repeats, so a burst of host CPU steal lands on a
+    different point each time instead of always on the same ratio.
+    """
+    ratios: dict[int, list[float]] = {pt: [] for pt in points}
+    for r in range(repeats):
+        order = points[r:] + points[:r]
+        spec = ExperimentSpec(base=_throughput_base(tmp_path),
+                              name=f"{axis}{r}", out_dir=str(tmp_path),
+                              reference_index=order.index(points[0]),
+                              **{f"{axis}_list": order})
+        for pt, run in zip(order, run_experiment(spec)["runs"]):
+            assert run["error"] is None, run["error"]
+            ratios[pt].append(run["throughput_ratio_vs_reference"])
+    assert ratios[points[0]] == [1.0] * repeats
+    return {pt: float(np.median(vals)) for pt, vals in ratios.items()}
+
+
 def test_06a_worker_scaling_floors(tmp_path):
-    spec = ExperimentSpec(base=_throughput_base(tmp_path), nW_list=[1, 2, 4],
-                          name="nw", out_dir=str(tmp_path))
-    ratios = [r["throughput_ratio_vs_reference"]
-              for r in run_experiment(spec)["runs"]]
-    assert ratios[0] == 1.0
-    assert ratios[1] >= 1.8
-    assert ratios[2] >= 3.2
+    ratios = _median_scaling_ratios(tmp_path, "nW", [1, 2, 4])
+    assert ratios[2] >= 1.8
+    assert ratios[4] >= 3.2
 
 
 def test_06b_thread_scaling_floors(tmp_path):
-    spec = ExperimentSpec(base=_throughput_base(tmp_path), p_list=[1, 2, 4],
-                          name="p", out_dir=str(tmp_path))
-    ratios = [r["throughput_ratio_vs_reference"]
-              for r in run_experiment(spec)["runs"]]
-    assert ratios[0] == 1.0
-    assert ratios[1] >= 1.7
-    assert ratios[2] >= 3.0
+    ratios = _median_scaling_ratios(tmp_path, "p", [1, 2, 4])
+    assert ratios[2] >= 1.7
+    assert ratios[4] >= 3.0
 
 
 # 7. Staleness bound: with the drop policy no applied update ever

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpsgd.engine import (
     draw_indices,
@@ -11,7 +12,14 @@ from dpsgd.engine import (
     substream,
     theory_constant_rate,
 )
-from dpsgd.engine.rng import ROLE_DELAY, ROLE_SAMPLE
+from dpsgd.engine.rng import (
+    ROLE_DELAY,
+    ROLE_ENV,
+    ROLE_INIT,
+    ROLE_SAMPLE,
+    _seed_for,
+    draw_pass_indices,
+)
 from dpsgd.errors import ConfigurationError
 
 
@@ -92,3 +100,128 @@ def test_draw_indices_shapes():
     assert isinstance(one, int) and 0 <= one < 50
     many = draw_indices(substream(1, ROLE_SAMPLE, 0), 50, size=6)
     assert many.shape == (6,) and (many < 50).all()
+
+
+def _same_state(a: dict, b: dict) -> bool:
+    if a.keys() != b.keys():
+        return False
+    for k in a:
+        x, y = a[k], b[k]
+        if isinstance(x, dict):
+            if not _same_state(x, y):
+                return False
+        elif isinstance(x, np.ndarray):
+            if x.dtype != y.dtype or not np.array_equal(x, y):
+                return False
+        elif type(x) is not type(y) or x != y:
+            return False
+    return True
+
+
+def _numpy_stream(words) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+
+
+def _assert_same_stream(a: np.random.Generator, b: np.random.Generator):
+    assert _same_state(a.bit_generator.state, b.bit_generator.state)
+    assert np.array_equal(a.integers(0, 2**63, size=5),
+                          b.integers(0, 2**63, size=5))
+    assert np.array_equal(a.random(3), b.random(3))
+    assert _same_state(a.bit_generator.state, b.bit_generator.state)
+
+
+word = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]),
+                 st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(word, min_size=2, max_size=7))
+def test_substream_keys_match_numpy_seed_sequence(words):
+    _assert_same_stream(substream(*words), _numpy_stream(words))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(word, min_size=1, max_size=7),
+       n_words=st.integers(0, 9),
+       dtype=st.sampled_from([np.uint32, np.uint64, "u4", "<u8"]))
+def test_seed_state_matches_numpy_generate_state(words, n_words, dtype):
+    got = _seed_for(words).generate_state(n_words, dtype)
+    want = np.random.SeedSequence(words).generate_state(n_words, dtype)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_seed_state_rejects_other_dtypes_like_numpy():
+    for words in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        for dtype in (np.int64, np.float64):
+            with pytest.raises(ValueError):
+                np.random.SeedSequence(words).generate_state(2, dtype)
+            with pytest.raises(ValueError):
+                _seed_for(words).generate_state(2, dtype)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(2**32, 2**70) | st.integers(-(2**40), -1),
+       keys=st.lists(word, min_size=0, max_size=5))
+def test_substream_masks_the_seed_to_32_bits(seed, keys):
+    words = [seed & 0xFFFFFFFF, ROLE_SAMPLE] + keys
+    _assert_same_stream(substream(seed, ROLE_SAMPLE, *keys),
+                        _numpy_stream(words))
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(word, min_size=3, max_size=5), big=st.integers(2**32, 2**80),
+       at=st.integers(0, 4))
+def test_substream_wide_keys_take_numpy_path(keys, big, at):
+    # numpy splits a wide key into several 32-bit words
+    keys.insert(min(at, len(keys)), big)
+    _assert_same_stream(substream(5, ROLE_SAMPLE, *keys),
+                        _numpy_stream([5, ROLE_SAMPLE] + keys))
+
+
+@pytest.mark.parametrize("keys", [(-1,), (0, 0, -1), (1, 2, 3, -5)])
+def test_substream_negative_key_raises_like_numpy(keys):
+    with pytest.raises(Exception) as numpy_err:
+        np.random.SeedSequence([5, ROLE_SAMPLE, *keys])
+    with pytest.raises(numpy_err.type):
+        substream(5, ROLE_SAMPLE, *keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       role=st.sampled_from([ROLE_SAMPLE, ROLE_DELAY, ROLE_INIT, ROLE_ENV]),
+       data=st.data())
+def test_substream_keys_disjoint_across_keys_and_stable(seed, role, data):
+    # one role always takes the same number of keys; numpy pads entropy
+    # shorter than 4 words with zeros, so (s, r) and (s, r, 0) would meet
+    n_keys = data.draw(st.integers(0, 4))
+    keys = st.tuples(*[st.integers(0, 2**32 - 1)] * n_keys)
+    a = data.draw(keys)
+    b = data.draw(keys.filter(lambda k: k != a))
+    other_role = data.draw(st.sampled_from(
+        [r for r in (ROLE_SAMPLE, ROLE_DELAY, ROLE_INIT, ROLE_ENV) if r != role]))
+    key_of = lambda *args: tuple(substream(*args).bit_generator.state["state"]["key"])
+    assert key_of(seed, role, *a) != key_of(seed, role, *b)
+    assert key_of(seed, role, *a) != key_of(seed, other_role, *a)
+    _assert_same_stream(substream(seed, role, *a), substream(seed, role, *a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 2000, 2**31 - 1, 2**32, 2**40])
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_one_pass_draw_equals_per_step_draws(n, size, steps):
+    for pass_idx in range(4):
+        one = substream(9, ROLE_SAMPLE, 1, 0, pass_idx)
+        each = substream(9, ROLE_SAMPLE, 1, 0, pass_idx)
+        got = draw_pass_indices(one, n, steps, size)
+        want = [draw_indices(each, n, size) for _ in range(steps)]
+        assert len(got) == steps
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            if size == 1:
+                assert g == w
+            else:
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert _same_state(one.bit_generator.state, each.bit_generator.state)
+        # a 32-bit draw next reads the half word Philox may have buffered
+        assert one.integers(0, 5, dtype=np.uint32) == each.integers(
+            0, 5, dtype=np.uint32)

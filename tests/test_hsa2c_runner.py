@@ -61,6 +61,14 @@ def test_oracle_rejects_out_of_range_indices(index):
     assert oracle.env_steps == 0
 
 
+@pytest.mark.parametrize("index", [1.9, [0.5, 2.2], True, "3"])
+def test_oracle_rejects_non_integer_indices(index):
+    oracle = GridworldOracle(ToyEnv(), seed=0, t_max=20)
+    with pytest.raises(ConfigurationError, match="integer"):
+        oracle.grad_at(index, ActorCriticParams.zeros(25).to_vector())
+    assert oracle.env_steps == 0
+
+
 def test_oracle_history_tracks_steps_and_window_mean():
     oracle = GridworldOracle(ToyEnv(), seed=2, t_max=20)
     x = ActorCriticParams.zeros(25).to_vector()

@@ -125,6 +125,56 @@ def test_index_validation_and_registry():
     assert "sigmoid" in oracle_names()
 
 
+NON_INTEGER_INDICES = [1.9, [0.5, 2.2], np.array([1.0]), True, [True, False],
+                       "3", ["1"], np.float64(2.0), None]
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.name)
+@pytest.mark.parametrize("index", NON_INTEGER_INDICES)
+def test_non_integer_indices_are_rejected(oracle, index):
+    # these used to be truncated or cast: 1.9 ran component 1, True ran 1
+    with pytest.raises(ConfigurationError, match="integer"):
+        oracle.grad_at(index, np.zeros(oracle.dim))
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.name)
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+def test_any_integer_index_dtype_is_accepted(oracle, dtype):
+    x = np.linspace(-0.5, 0.5, oracle.dim)
+    want = oracle.grad_at(np.array([3, 0, 3]), x)
+    assert np.array_equal(oracle.grad_at(np.array([3, 0, 3], dtype=dtype), x),
+                          want)
+    assert np.array_equal(oracle.grad_at(dtype(7), x), oracle.grad_at(7, x))
+
+
+def test_wide_unsigned_index_is_out_of_range_not_wrapped():
+    q = ORACLES[0]
+    with pytest.raises(ConfigurationError, match="out of range"):
+        q.grad_at(np.array([2**64 - 1], dtype=np.uint64), np.zeros(q.dim))
+
+
+def test_sigmoid_full_grad_and_loss_equal_the_gathered_forms():
+    s = ORACLES[1]
+    x = np.random.default_rng(4).normal(size=s.dim)
+    every = np.arange(s.n)
+    assert np.array_equal(s.full_grad(x), s.grad_at(every, x))
+    z = s.labels[every] * (s.features[every] @ x)
+    assert s.loss_at(x) == float((1.0 / (1.0 + np.exp(z))).mean())
+
+
+def test_row_mean_gradients_equal_numpy_mean():
+    x = np.random.default_rng(5).normal(size=6)
+    for idx in ([4], [1, 7, 7, 30], list(range(40))):
+        q, s = ORACLES[0], ORACLES[1]
+        assert np.array_equal(q.grad_at(idx, x),
+                              x - q.centers[idx].mean(axis=0))
+        z = s.labels[idx] * (s.features[idx] @ x)
+        sig = 1.0 / (1.0 + np.exp(-z))
+        coeff = -s.labels[idx] * sig * (1.0 - sig)
+        assert np.array_equal(s.grad_at(idx, x),
+                              (coeff[:, None] * s.features[idx]).mean(axis=0))
+
+
 def test_same_seed_regenerates_identical_data():
     a = QuadraticOracle(n=10, dim=3, seed=123)
     b = QuadraticOracle(n=10, dim=3, seed=123)

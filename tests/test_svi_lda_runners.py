@@ -124,6 +124,14 @@ def test_oracle_rejects_out_of_range_indices(index):
         oracle.grad_at(index, model0.lam.ravel())
 
 
+@pytest.mark.parametrize("index", [1.9, [0.5, 2.2], True, "3"])
+def test_oracle_rejects_non_integer_indices(index):
+    corpus, _, model0 = small_setup(n_docs=20, V=10, K=2)
+    oracle = LdaSviOracle(model0, corpus)
+    with pytest.raises(ConfigurationError, match="integer"):
+        oracle.grad_at(index, model0.lam.ravel())
+
+
 def test_full_grad_is_whole_corpus_natural_gradient():
     corpus, _, model0 = small_setup(n_docs=12, V=10, K=2)
     oracle = LdaSviOracle(model0, corpus)
