@@ -1,0 +1,122 @@
+"""SHA-256 fingerprints of simulated runs on a fixed config set.
+
+Simulated runs are deterministic, so a change that must keep them bit for
+bit prints the same lines before and after. Run it once per checkout,
+pointing PYTHONPATH at that checkout's sources, and diff the outputs:
+
+    PYTHONPATH=src python scripts/sim_fingerprint.py > after.txt
+    PYTHONPATH=../parent/src python scripts/sim_fingerprint.py > before.txt
+    diff before.txt after.txt
+
+Each stdout line names a run and digests its final vector, MetricsSeries
+rows, counters and the applied and received staleness histograms. The
+wall time of each run goes to stderr, so it stays out of the diff. The
+sim-sigmoid and apps runs use the benchmark's own configs
+(perfbench/workloads.py); the others are written out below.
+"""
+import argparse
+import dataclasses
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from dpsgd.engine import (
+    DelayModel,
+    ProblemSpec,
+    RunConfig,
+    build_oracle,
+    initial_model,
+    run_with_oracle,
+)
+from dpsgd.hsa2c import run_hsa2c
+from dpsgd.svi_lda import run_dpsvi
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+
+def _quad(**overrides) -> RunConfig:
+    # the shape of tests/test_acceptance.py:quad_config
+    base = dict(
+        T=100, M=1, nW=1, p=1, B=1, eta=0.1,
+        rho_schedule={"kind": "constant", "value": 0.5},
+        seed=123,
+        problem=ProblemSpec(name="quadratic", n=60, dim=8, data_seed=9),
+        execution="simulated",
+        grad_norm_every=0,
+    )
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+def _engine_runs():
+    """(name, config, oracle, init) of every run on a built-in oracle."""
+    sim = WORKLOADS["sim-sigmoid"]
+    for seed in (1, 2, 3):
+        ctx = sim.setup(seed)
+        yield f"sim-sigmoid/seed{seed}", ctx["cfg"], ctx["oracle"], ctx["init"]
+    configs = {
+        "test01": _quad(T=1000),
+        "test02a": _quad(T=500, nW=2, M=2),
+        "block-quadratic": _quad(
+            T=200, M=2, nW=3, p=3, B=3, seed=7,
+            problem=ProblemSpec(name="quadratic", n=40, dim=6, batch_size=3,
+                                data_seed=3),
+            compute_cost_s=1e-3,
+            delay=DelayModel(kind="uniform", low=0.0, high=5e-3,
+                             d_prime_bound=2, enforce="block"),
+            grad_norm_every=10,
+        ),
+        "sigmoid-nW32": dataclasses.replace(
+            sim.config(1), T=300, nW=32, M=4,
+            delay=DelayModel(kind="uniform", low=0.0, high=4e-3)),
+    }
+    for name, cfg in configs.items():
+        oracle = build_oracle(cfg.problem, cfg.seed)
+        yield name, cfg, oracle, initial_model(oracle)
+
+
+def _digest(obj) -> str:
+    data = obj.tobytes() if isinstance(obj, np.ndarray) else repr(obj).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def fingerprint(name: str, res) -> str:
+    hists = (sorted(res.applied_staleness_hist.items()),
+             sorted(res.received_staleness_hist.items()))
+    return (f"{name} final={_digest(res.final.values)} "
+            f"metrics={_digest(res.metrics.rows)} "
+            f"counters={_digest(dataclasses.asdict(res.counters))} "
+            f"hists={_digest(hists)}")
+
+
+def _timed(name: str, fn):
+    start = time.perf_counter()
+    out = fn()
+    print(f"{name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.parse_args(argv)
+    for name, cfg, oracle, init in _engine_runs():
+        res = _timed(name, lambda: run_with_oracle(cfg, oracle, init))
+        print(fingerprint(name, res), flush=True)
+    apps = WORKLOADS["apps"]
+    for seed in (1, 2, 3):
+        ctx = apps.setup(seed)
+        _, lda = _timed(f"apps-lda/seed{seed}", lambda: run_dpsvi(
+            ctx["lda_cfg"], ctx["model0"], ctx["train"]))
+        print(fingerprint(f"apps-lda/seed{seed}", lda), flush=True)
+        _, a2c, _ = _timed(f"apps-a2c/seed{seed}",
+                           lambda: run_hsa2c(ctx["a2c_cfg"], ctx["env"]))
+        print(fingerprint(f"apps-a2c/seed{seed}", a2c), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,16 @@ Push deliveries sort ahead of model pulls at equal timestamps, so a
 zero-latency zero-cost config executes in lock-step: every worker's pass
 t is based on model version t. That is the degenerate synchronous case
 the straight-line references reproduce.
+
+A pass's delta depends only on (worker, pass index, base model), and no
+event time depends on a delta. So a pull only schedules its pass: the
+delta is computed later, at the top of the apply that leaves the pass's
+base version, by which point every pass with that base has been pulled.
+All of them are computed there as one group. When the oracle offers
+grad_stack, the group steps together, one oracle call per local step for
+the whole group; otherwise each pass runs on its own, in pull order. The
+arithmetic per pass is the same either way, so runs are bit-identical to
+computing each pass at its pull.
 """
 from __future__ import annotations
 
@@ -33,12 +43,13 @@ _PULL = 1
 class _Push:
     worker_id: int
     base_version: int
-    delta: np.ndarray
-    evals: int
+    pass_idx: int
+    delta: np.ndarray | None = None  # set at the apply leaving base_version
 
 
-def _compute_pass(cfg: RunConfig, oracle, w: int, pass_idx: int, v: np.ndarray):
-    """One worker pass, local threads unrolled thread-major.
+def _compute_pass(cfg: RunConfig, oracle, w: int, pass_idx: int,
+                  v: np.ndarray) -> np.ndarray:
+    """One worker pass's delta, local threads unrolled thread-major.
 
     Sequential unrolling is one valid lock-free execution (every store
     survives); thread h always consumes its own stream, so the schedule
@@ -46,7 +57,6 @@ def _compute_pass(cfg: RunConfig, oracle, w: int, pass_idx: int, v: np.ndarray):
     its B steps in one call, equal to B draw_indices calls.
     """
     u = v.copy()
-    evals = 0
     size = cfg.problem.batch_size
     for h in range(cfg.p):
         rng = substream(cfg.seed, ROLE_SAMPLE, w, h, pass_idx)
@@ -54,8 +64,50 @@ def _compute_pass(cfg: RunConfig, oracle, w: int, pass_idx: int, v: np.ndarray):
             g = np.asarray(oracle.grad_at(idx, u), dtype=float)
             check_finite(g, "local gradient")
             u -= cfg.eta * g
-            evals += 1
-    return u - v, evals
+    return u - v
+
+
+def _stacked_deltas(cfg: RunConfig, oracle, group: list[_Push],
+                    v: np.ndarray) -> np.ndarray | None:
+    """The K passes of group, all based on v, stepped together.
+
+    Row k is bitwise _compute_pass of pass k: the same streams and
+    draws, and grad_stack row k equals grad_at on that row, taken in
+    the same thread-major step order. None if a step's gradient is not
+    finite, so the caller can replay the group pass by pass and raise
+    the error of the first failing pass.
+    """
+    size = cfg.problem.batch_size
+    idx = np.stack([
+        substream(cfg.seed, ROLE_SAMPLE, push.worker_id, h,
+                  push.pass_idx).integers(0, oracle.n, size=cfg.B * size)
+        for push in group
+        for h in range(cfg.p)
+    ]).reshape(len(group), cfg.p, cfg.B, size)
+    U = np.repeat(v[None, :], len(group), axis=0)
+    for h in range(cfg.p):
+        for b in range(cfg.B):
+            G = oracle.grad_stack(idx[:, h, b], U)
+            if not np.isfinite(G).all():
+                return None
+            U -= cfg.eta * G
+    return U - v
+
+
+def _compute_group(cfg: RunConfig, oracle, group: list[_Push],
+                   v: np.ndarray) -> None:
+    """Set the delta of every pass in group, all based on model v."""
+    deltas = None
+    if hasattr(oracle, "grad_stack"):
+        deltas = _stacked_deltas(cfg, oracle, group, v)
+    if deltas is None:
+        # pull order, as computing each pass at its pull would call the
+        # oracle (stateful oracles, such as gridworld's episode log, see
+        # the same call sequence)
+        deltas = [_compute_pass(cfg, oracle, push.worker_id, push.pass_idx, v)
+                  for push in group]
+    for push, delta in zip(group, deltas):
+        push.delta = delta
 
 
 def _pass_timing(cfg: RunConfig, w: int, pass_idx: int) -> tuple[float, float]:
@@ -102,6 +154,8 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
     version = 0
     pending: deque[_Push] = deque()
     batch: list[_Push] = []
+    deferred: list[_Push] = []  # pulled passes, all based on `version`
+    evals_per_pass = cfg.p * cfg.B
     inflight_bases: dict[int, int] = {}  # base version -> unapplied push count
     pass_counter = [0] * cfg.nW
 
@@ -141,8 +195,14 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             return True
         return version + 1 - min(outside) <= bound
 
+    def compute_deferred() -> None:
+        if deferred:
+            _compute_group(cfg, oracle, deferred, model.values)
+            deferred.clear()
+
     def apply_batch(now: float) -> None:
         nonlocal version, batch, seq, model
+        compute_deferred()  # the last moment model.values is their base
         t = version
         stalenesses = [t - push.base_version for push in batch]
         if policy == "block" and stalenesses and max(stalenesses) > bound:
@@ -161,7 +221,7 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             if bound is not None and stale > bound:
                 counters.stale_applied_violations += 1
             counters.pushes_applied += 1
-            counters.gradient_evals_applied += push.evals
+            counters.gradient_evals_applied += evals_per_pass
             unregister(push.base_version)
             if policy == "block":
                 # the worker was waiting for this apply; it resumes now
@@ -227,15 +287,15 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             pending.append(push)
             try_apply(now)
         else:
-            # serve a model pull and play the whole pass forward
+            # serve a model pull and schedule the pass; its delta waits
+            # for the apply that leaves this version
             counters.pulls_served += 1
             pass_idx = pass_counter[w]
             pass_counter[w] += 1
-            delta, evals = _compute_pass(cfg, oracle, w, pass_idx,
-                                         model.values)
-            counters.gradient_evals_computed += evals
+            counters.gradient_evals_computed += evals_per_pass
             register(version)
-            push = _Push(w, version, delta, evals)
+            push = _Push(w, version, pass_idx)
+            deferred.append(push)
             dur, transit = _pass_timing(cfg, w, pass_idx)
             heapq.heappush(events, (now + dur + transit, _DELIVER, seq, w, push))
             seq += 1
@@ -244,6 +304,7 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
                 seq += 1
 
     if version < cfg.T:
+        compute_deferred()  # a failing pass raises its own error first
         raise TransportError(
             f"simulation starved at version {version} of {cfg.T}; "
             "the staleness gate or worker pool cannot make progress"

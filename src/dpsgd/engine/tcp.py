@@ -7,8 +7,11 @@ pulls from whatever model is currently published, so a slow worker
 never blocks an apply.
 
 A malformed frame is fatal for its connection only: the master counts
-it, closes that socket, and keeps serving the rest. Traces do not cross
-the wire; use the threaded runtime to record overwrite traces.
+it, closes that socket, and keeps serving the rest. So is a well-formed
+PUSH the master could not apply: a delta of the wrong dimension or with
+a non-finite value, a worker id outside [0, nW), or a base version above
+the published one. Such a push is never queued. Traces do not cross the
+wire; use the threaded runtime to record overwrite traces.
 """
 from __future__ import annotations
 
@@ -108,8 +111,8 @@ class TcpMasterServer:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
         listener.listen()
-        # closing the listener does not interrupt a blocked accept() on
-        # Linux, so the accept loop polls a flag instead
+        # close() shuts the listener down, which wakes a blocked accept()
+        # on Linux; where it does not, the accept loop polls a flag
         listener.settimeout(_POLL_S)
         self._listener = listener
         self._accept_thread = threading.Thread(target=self._accept_loop,
@@ -125,7 +128,7 @@ class TcpMasterServer:
                     return
                 continue
             except OSError:
-                return  # listener closed
+                return  # listener shut down or closed
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 self._conns.append(conn)
@@ -161,7 +164,7 @@ class TcpMasterServer:
                     if stopping:
                         return
                 elif msg_type == wire.PUSH:
-                    if body.delta.shape[0] != self._dim:
+                    if not self._applicable(body):
                         with self._lock:
                             self.malformed_frames += 1
                         return
@@ -180,6 +183,21 @@ class TcpMasterServer:
                     return
         finally:
             conn.close()
+
+    def _applicable(self, push: wire.PushMessage) -> bool:
+        """Whether the master can apply push; it cannot apply a future base.
+
+        The version is read without the lock, which pull handlers hold
+        while they encode a model: it only grows, and an honest base came
+        from a MODEL frame encoded after publish() set it, so a read here
+        never sees less than that base.
+        """
+        return (
+            push.delta.shape[0] == self._dim
+            and 0 <= push.worker_id < self._cfg.nW
+            and push.base_version <= self._version
+            and bool(np.isfinite(push.delta).all())
+        )
 
     def publish(self, version: int, values: np.ndarray) -> None:
         with self._lock:
@@ -207,6 +225,10 @@ class TcpMasterServer:
     def close(self) -> None:
         self._closing = True
         if self._listener is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never listened, or the platform refuses; the poll ends it
             self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)

@@ -5,6 +5,12 @@ single index or an index batch (batch gradients are averaged), full_grad
 as the exact mean over all components, and loss_at. Data is synthesised
 from a seeded generator so a problem is reproducible from its spec alone.
 
+An oracle may also offer grad_stack(idx[K, size], X[K, dim]) -> G[K, dim],
+K independent batch gradients in one call: row k must be bitwise equal to
+grad_at(idx[k], X[k]). The simulated engine uses it, when present, to step
+every pass that starts from one model version together. The quadratic and
+sigmoid oracles have it; the others, like user oracles, need not.
+
 Declared smoothness and gradient-norm bounds (L, V_bound) hold on the
 declared feasible box and are deliberately conservative.
 """
@@ -32,6 +38,18 @@ def _check_index(i, n: int) -> np.ndarray:
     if idx.min() < 0 or idx.max() >= n:
         raise ConfigurationError(f"component index out of range [0, {n})")
     return idx.astype(np.int64, copy=False)
+
+
+def _check_block(idx, X, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, size) index block and (K, dim) points of a grad_stack call."""
+    idx = _check_index(idx, n)
+    X = np.asarray(X, dtype=float)
+    if idx.ndim != 2 or X.shape != (idx.shape[0], dim):
+        raise ConfigurationError(
+            f"grad_stack needs idx[K, size] and X[K, {dim}], got index shape "
+            f"{idx.shape} and point shape {X.shape}"
+        )
+    return idx, X
 
 
 def _row_mean(rows: np.ndarray) -> np.ndarray:
@@ -67,6 +85,11 @@ class QuadraticOracle:
     def grad_at(self, i, x) -> np.ndarray:
         idx = _check_index(i, self.n)
         return np.asarray(x, dtype=float) - _row_mean(self.centers[idx])
+
+    def grad_stack(self, idx, X) -> np.ndarray:
+        idx, X = _check_block(idx, X, self.n, self.dim)
+        # row k: the same row sum and division as _row_mean
+        return X - np.add.reduce(self.centers[idx], axis=1) / idx.shape[1]
 
     def full_grad(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) - self.centers.mean(axis=0)
@@ -115,17 +138,30 @@ class SigmoidOracle:
         self.V_bound = float(_SIGMOID_D1_MAX * np.sqrt(row_sq).max())
 
     @staticmethod
-    def _grad(rows, labels, x) -> np.ndarray:
-        z = labels * (rows @ np.asarray(x, dtype=float))
+    def _coeff(labels, margins) -> np.ndarray:
+        z = labels * margins
         s = 1.0 / (1.0 + np.exp(-z))
         # d/dx sigmoid(y a.x) ... f_i = sigmoid(-y a.x), so the slope is
         # -y * s * (1 - s) with s = sigmoid(y a.x)
-        coeff = -labels * s * (1.0 - s)
+        return -labels * s * (1.0 - s)
+
+    @classmethod
+    def _grad(cls, rows, labels, x) -> np.ndarray:
+        coeff = cls._coeff(labels, rows @ np.asarray(x, dtype=float))
         return _row_mean(coeff[:, None] * rows)
 
     def grad_at(self, i, x) -> np.ndarray:
         idx = _check_index(i, self.n)
         return self._grad(self.features[idx], self.labels[idx], x)
+
+    def grad_stack(self, idx, X) -> np.ndarray:
+        idx, X = _check_block(idx, X, self.n, self.dim)
+        rows = self.features[idx]
+        # a matrix-vector product per k, as rows @ x in grad_at (einsum
+        # sums in another order and is not bitwise equal)
+        margins = np.matmul(rows, X[:, :, None])[:, :, 0]
+        coeff = self._coeff(self.labels[idx], margins)
+        return np.add.reduce(coeff[:, :, None] * rows, axis=1) / idx.shape[1]
 
     def full_grad(self, x) -> np.ndarray:
         return self._grad(self.features, self.labels, x)

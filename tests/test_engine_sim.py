@@ -10,8 +10,10 @@ from dpsgd.engine import (
     run_with_oracle,
     substream,
 )
-from dpsgd.engine.rng import ROLE_SAMPLE
-from dpsgd.errors import ConfigurationError, TransportError
+from dpsgd.engine import sim
+from dpsgd.engine.rng import ROLE_DELAY, ROLE_SAMPLE
+from dpsgd.engine.sim import run_simulated
+from dpsgd.errors import ConfigurationError, NumericFaultError, TransportError
 
 
 def quad_config(**overrides):
@@ -195,3 +197,197 @@ def test_delta_is_minus_eta_times_gradient_sum():
         u -= cfg.eta * oracle.grad_at(i, u)
     expected = 0.5 * u  # rho * delta on a zero initial model
     assert np.allclose(res.final.values, expected, atol=1e-15)
+
+
+class PerPass:
+    """An oracle seen without grad_stack: the engine runs pass by pass."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def __getattr__(self, name):
+        if name == "grad_stack":
+            raise AttributeError(name)
+        return getattr(self._oracle, name)
+
+
+def assert_same_run(a, b):
+    assert np.array_equal(a.final.values, b.final.values)
+    assert a.metrics.identical(b.metrics)
+    assert a.counters == b.counters
+    assert a.applied_staleness_hist == b.applied_staleness_hist
+    assert a.received_staleness_hist == b.received_staleness_hist
+
+
+def _uniform(enforce, bound, kind="uniform", **extra):
+    return DelayModel(kind=kind, low=0.0, high=5e-3, d_prime_bound=bound,
+                      enforce=enforce, **extra)
+
+
+STACKED_CONFIGS = {
+    "drop": dict(T=60, nW=4, M=2, p=2, B=2, delay=_uniform("drop", 2)),
+    "block": dict(T=60, nW=3, M=2, p=3, B=3, delay=_uniform("block", 2)),
+    "seeded-jitter": dict(T=60, nW=4, M=2, p=3, B=3,
+                          delay=_uniform("off", None, kind="seeded-jitter",
+                                         jitter=2e-3)),
+    "nW32": dict(T=40, nW=32, M=4, p=2, B=2, delay=_uniform("off", None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CONFIGS))
+@pytest.mark.parametrize("problem", ["quadratic", "sigmoid"])
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_stacked_passes_match_pass_by_pass(name, problem, batch_size):
+    cfg = quad_config(
+        seed=17, compute_cost_s=1e-3, grad_norm_every=5,
+        problem=ProblemSpec(name=problem, n=50, dim=6, batch_size=batch_size,
+                            data_seed=4),
+        **STACKED_CONFIGS[name],
+    )
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    init = np.random.default_rng(3).normal(size=oracle.dim)
+    stacked = run_with_oracle(cfg, oracle, init)
+    assert_same_run(stacked, run_with_oracle(cfg, PerPass(oracle), init))
+    # more than one pass starts from some version, so groups really stack
+    assert stacked.counters.pulls_served > cfg.T
+
+
+@pytest.mark.parametrize("per_pass", [False, True])
+def test_every_pulled_pass_is_computed_once_in_pull_order(monkeypatch,
+                                                          per_pass):
+    # a pull draws its pass's delay stream at once; the pass's sample
+    # streams are drawn when it is computed. Stateful oracles rely on
+    # passes being computed in pull order.
+    calls = []
+
+    def recording(seed, role, *keys):
+        calls.append((role, keys))
+        return substream(seed, role, *keys)
+
+    monkeypatch.setattr(sim, "substream", recording)
+    cfg = quad_config(T=40, nW=4, M=2, p=2, B=2, compute_cost_s=1e-3,
+                      delay=_uniform("drop", 2))
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    run_with_oracle(cfg, PerPass(oracle) if per_pass else oracle)
+    pulled = [keys for role, keys in calls if role == ROLE_DELAY]
+    computed = [(w, c) for role, (w, h, c) in
+                ((r, k) for r, k in calls if r == ROLE_SAMPLE) if h == 0]
+    assert computed == pulled
+    assert len(set(pulled)) == len(pulled) > cfg.T
+
+
+class CountingOracle:
+    """Counts the engine's grad_at and grad_stack calls on an oracle."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.grad_at_calls = 0
+        self.grad_stack_calls = 0
+
+    def grad_at(self, i, x):
+        self.grad_at_calls += 1
+        return self._oracle.grad_at(i, x)
+
+    def grad_stack(self, idx, X):
+        self.grad_stack_calls += 1
+        return self._oracle.grad_stack(idx, X)
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+
+def test_stacked_oracle_call_budget():
+    # the benchmark's sim-sigmoid shape: counts only, never time
+    cfg = RunConfig(
+        T=200, M=2, nW=4, p=2, B=2, eta=0.05,
+        rho_schedule={"kind": "constant", "value": 0.5},
+        seed=1,
+        problem=ProblemSpec(name="sigmoid", n=2000, dim=20, batch_size=4),
+        execution="simulated",
+        compute_cost_s=1e-3,
+        delay=DelayModel(kind="uniform", low=0.0, high=4e-3,
+                         d_prime_bound=4, enforce="drop"),
+        grad_norm_every=10,
+    )
+    oracle = CountingOracle(build_oracle(cfg.problem, cfg.seed))
+    res = run_with_oracle(cfg, oracle)
+    steps = cfg.p * cfg.B
+    assert oracle.grad_at_calls == 0
+    assert 0 < oracle.grad_stack_calls <= steps * res.version
+    assert oracle.grad_stack_calls % steps == 0
+    # one stacked call per local step serves every pass of its group
+    assert res.counters.gradient_evals_computed > oracle.grad_stack_calls
+
+
+class FaultAtCall(PerPass):
+    """An oracle without grad_stack whose call-th grad_at returns inf or
+    NaN in one dimension."""
+
+    def __init__(self, oracle, call, dim, value):
+        super().__init__(oracle)
+        self.fault = (call, dim, value)
+        self.calls = 0
+
+    def grad_at(self, i, x):
+        self.calls += 1
+        g = self._oracle.grad_at(i, x)
+        call, dim, value = self.fault
+        if self.calls == call:
+            g[dim] = value
+        return g
+
+
+def test_numeric_fault_in_a_deferred_pass_names_the_same_call():
+    # passes run at the apply that leaves their base version, but in pull
+    # order, so the faulting call and its message are those of running
+    # each pass at its pull
+    cfg = quad_config(T=60, nW=4, M=2, p=2, B=3, compute_cost_s=1e-3,
+                      delay=_uniform("drop", 2))
+    oracle = FaultAtCall(build_oracle(cfg.problem, cfg.seed), 101, 3,
+                         float("nan"))
+    with pytest.raises(NumericFaultError,
+                       match=r"value \S*nan\S* in local gradient at dimension 3$"):
+        run_with_oracle(cfg, oracle)
+    assert oracle.calls == 101
+
+
+def poisoned(problem, cells):
+    """A built-in oracle whose listed (component, dim) cells are non-finite."""
+    spec = ProblemSpec(name=problem, n=50, dim=6, batch_size=2, data_seed=4)
+    oracle = build_oracle(spec, 0)
+    data = oracle.centers if problem == "quadratic" else oracle.features
+    for (i, d), value in cells.items():
+        data[i, d] = value
+    return spec, oracle
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "sigmoid"])
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_numeric_fault_matches_pass_by_pass(problem, seed):
+    # three poisoned components, one value each, so the message tells
+    # which pass failed first
+    spec, oracle = poisoned(problem, {(7, 1): float("nan"),
+                                      (19, 4): float("inf"),
+                                      (33, 2): -float("inf")})
+    cfg = quad_config(T=60, nW=4, M=2, p=2, B=2, seed=seed, problem=spec,
+                      compute_cost_s=1e-3, delay=_uniform("drop", 2))
+    with pytest.raises(NumericFaultError) as per_pass:
+        run_with_oracle(cfg, PerPass(oracle))
+    with pytest.raises(NumericFaultError) as stacked:
+        run_with_oracle(cfg, oracle)
+    assert str(stacked.value) == str(per_pass.value)
+    assert "local gradient" in str(stacked.value)
+
+
+def test_pending_pass_fault_raises_before_starvation():
+    # one worker cannot fill a batch of two under the block policy, so
+    # the run starves; its one pass must still raise its own fault first
+    cfg = quad_config(M=2, nW=1, delay=DelayModel(d_prime_bound=0,
+                                                  enforce="block"))
+    oracle = FaultAtCall(build_oracle(cfg.problem, cfg.seed), 1, 0,
+                         float("inf"))
+    with pytest.raises(NumericFaultError, match=r"inf\S* in local gradient"):
+        run_simulated(cfg, oracle, np.zeros(oracle.dim))
+    healthy = build_oracle(cfg.problem, cfg.seed)
+    with pytest.raises(TransportError, match="starved"):
+        run_simulated(cfg, healthy, np.zeros(healthy.dim))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpsgd.engine import ProblemSpec, RunConfig, TcpMasterServer, build_oracle, run_tcp
-from dpsgd.engine import wire
+from dpsgd.engine import tcp, wire
 from dpsgd.errors import TransportError, WireProtocolError
 
 # golden frames written out byte by byte, independent of the encoder
@@ -185,6 +185,69 @@ def test_server_rejects_wrong_dim_push():
         assert sock.recv(1) == b""
         sock.close()
         assert server.malformed_frames == 1
+    finally:
+        server.close()
+
+
+def test_close_wakes_the_accept_thread_at_once(monkeypatch):
+    # with a 10 s accept poll, only shutting the listener down can end
+    # the accept thread within close()'s 5 s join
+    monkeypatch.setattr(tcp, "_POLL_S", 10.0)
+    server = TcpMasterServer(tcp_config(), np.zeros(5))
+    server.start()
+    server.close()
+    assert not server._accept_thread.is_alive()
+
+
+def _bad_pushes(nW):
+    # PUSH frames the master cannot apply: no such worker, a base version
+    # not yet published (0 is), and non-finite deltas
+    finite = np.arange(5.0)
+    return {
+        "worker-id-nW": wire.encode_push(nW, 0, finite),
+        "worker-id-max": wire.encode_push(2**32 - 1, 0, finite),
+        "future-base": wire.encode_push(0, 1, finite),
+        "nan-delta": wire.encode_push(0, 0, [0.0, np.nan, 0.0, 0.0, 0.0]),
+        "inf-delta": wire.encode_push(1, 0, [0.0, 0.0, 0.0, 0.0, -np.inf]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_pushes(2)))
+def test_server_rejects_unapplicable_push_and_keeps_serving(case):
+    cfg = tcp_config(nW=2)
+    server = TcpMasterServer(cfg, np.zeros(5))
+    server.start()
+    try:
+        bad = _client(server)
+        bad.sendall(_bad_pushes(cfg.nW)[case])
+        assert bad.recv(1) == b""
+        bad.close()
+        assert server.malformed_frames == 1
+
+        good = _client(server)
+        good.sendall(wire.encode_pull_req())
+        got = wire.decode_frame(_recv_frame(good))
+        assert got[0] == wire.MODEL and got[1].version == 0
+        good.close()
+        with pytest.raises(TransportError, match="starved"):
+            server.next_delivery(timeout=0.05)
+    finally:
+        server.close()
+
+
+def test_server_queues_an_applicable_push():
+    cfg = tcp_config(nW=2)
+    server = TcpMasterServer(cfg, np.zeros(5))
+    server.start()
+    try:
+        server.publish(3, np.ones(5))
+        sock = _client(server)
+        sock.sendall(wire.encode_push(1, 3, np.arange(5.0)))
+        upd = server.next_delivery(timeout=5.0)
+        assert (upd.worker_id, upd.base_version) == (1, 3)
+        assert np.array_equal(upd.delta, np.arange(5.0))
+        sock.close()
+        assert server.malformed_frames == 0
     finally:
         server.close()
 

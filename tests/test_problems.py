@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dpsgd.errors import ConfigurationError
 from dpsgd.problems import (
@@ -183,3 +184,49 @@ def test_same_seed_regenerates_identical_data():
     d = SigmoidOracle(n=10, dim=3, seed=123)
     assert np.array_equal(c.features, d.features)
     assert np.array_equal(c.labels, d.labels)
+
+
+STACK_CLASSES = (QuadraticOracle, SigmoidOracle)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cls=st.sampled_from(STACK_CLASSES),
+       dim=st.sampled_from([1, 2, 3, 7, 20, 64, 257]) | st.integers(1, 40),
+       size=st.integers(1, 33), K=st.integers(1, 32),
+       seed=st.integers(0, 2**32 - 1))
+# a lone column (dim 1) reduces pairwise from 8 rows up, and K = 1 is a
+# single matrix-vector product: both must still add in grad_at's order
+@example(cls=QuadraticOracle, dim=1, size=8, K=1, seed=0)
+@example(cls=SigmoidOracle, dim=1, size=8, K=1, seed=0)
+@example(cls=QuadraticOracle, dim=1, size=33, K=32, seed=1)
+@example(cls=SigmoidOracle, dim=1, size=33, K=32, seed=1)
+@example(cls=SigmoidOracle, dim=2000, size=4, K=8, seed=2)
+def test_grad_stack_rows_equal_grad_at_bitwise(cls, dim, size, K, seed):
+    oracle = cls(n=50, dim=dim, seed=seed)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, oracle.n, size=(K, size))
+    X = 3.0 * rng.normal(size=(K, dim))
+    G = oracle.grad_stack(idx, X)
+    assert G.shape == (K, dim)
+    for k in range(K):
+        # the simulator passes size-1 batches to grad_at as Python ints
+        i = int(idx[k, 0]) if size == 1 else idx[k]
+        assert np.array_equal(G[k], oracle.grad_at(i, X[k]))
+
+
+@pytest.mark.parametrize("oracle", ORACLES[:2], ids=["quadratic", "sigmoid"])
+def test_grad_stack_checks_its_index_block_and_points(oracle):
+    X = np.zeros((2, oracle.dim))
+    ok = np.array([[0, 1], [2, 3]])
+    with pytest.raises(ConfigurationError, match="out of range"):
+        oracle.grad_stack(np.array([[0, 1], [2, oracle.n]]), X)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        oracle.grad_stack(np.array([[0, -1], [2, 3]]), X)
+    with pytest.raises(ConfigurationError, match="integer"):
+        oracle.grad_stack(ok.astype(float), X)
+    with pytest.raises(ConfigurationError, match="empty"):
+        oracle.grad_stack(np.zeros((2, 0), dtype=int), X)
+    for bad_idx, bad_X in ((ok[0], X), (ok, X[0]), (ok, X[:1]),
+                           (ok, np.zeros((2, oracle.dim + 1)))):
+        with pytest.raises(ConfigurationError, match="grad_stack needs"):
+            oracle.grad_stack(bad_idx, bad_X)
