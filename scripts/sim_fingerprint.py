@@ -70,6 +70,19 @@ def _engine_runs():
                              d_prime_bound=2, enforce="block"),
             grad_norm_every=10,
         ),
+        "seeded-jitter": _quad(
+            T=300, M=2, nW=4, p=2, B=2, seed=11, compute_cost_s=1e-3,
+            delay=DelayModel(kind="seeded-jitter", low=0.0, high=3e-3,
+                             jitter=2e-3, d_prime_bound=3, enforce="drop"),
+            grad_norm_every=10,
+        ),
+        # every push staler than 0 is a violation the master counts
+        "off-violations": _quad(
+            T=300, M=2, nW=4, p=2, B=2, seed=13, compute_cost_s=1e-3,
+            delay=DelayModel(kind="uniform", low=0.0, high=4e-3,
+                             d_prime_bound=0, enforce="off"),
+            grad_norm_every=10,
+        ),
         "sigmoid-nW32": dataclasses.replace(
             sim.config(1), T=300, nW=32, M=4,
             delay=DelayModel(kind="uniform", low=0.0, high=4e-3)),

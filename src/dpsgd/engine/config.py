@@ -15,7 +15,7 @@ from . import rates
 DELAY_KINDS = ("none", "fixed", "uniform", "seeded-jitter")
 ENFORCE_POLICIES = ("off", "drop", "block")
 EXECUTION_MODES = ("simulated", "threaded")
-COST_MODES = ("sleep", "busy")
+COST_MODES = ("sleep",)
 
 
 @dataclass
@@ -25,13 +25,18 @@ class DelayModel:
     kind "none" delivers instantly; "fixed" adds a constant latency;
     "uniform" draws latency from [low, high); "seeded-jitter" additionally
     jitters each pass duration by a draw from [0, jitter). All draws come
-    from a dedicated seeded stream, so delays replay with the run seed.
+    from a dedicated seeded stream (sim.pass_delays), so delays replay
+    with the run seed. In every runtime a push's transit delays only its
+    delivery to the master; the pushing worker starts its next pass at
+    once. "seeded-jitter" is simulated-only: the threaded and TCP
+    runtimes reject it.
 
     d_prime_bound is the staleness bound D'. Policy "drop" discards an
     update whose staleness at receipt exceeds D' (counted); "block" makes
     the master wait for stragglers so no applied update ever exceeds D'
-    (preserves every update, sacrifices liveness if a worker stalls);
-    "off" applies everything and only counts violations.
+    (preserves every update, sacrifices liveness if a worker stalls;
+    simulated-only, the threaded and TCP runtimes reject it); "off"
+    applies everything and only counts violations.
     """
 
     kind: str = "none"

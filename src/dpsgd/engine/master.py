@@ -1,0 +1,229 @@
+"""The master's side of the protocol, shared by every runtime.
+
+Master holds the model and the run's bookkeeping: it counts each push it
+receives, applies the drop policy, applies batches and samples the
+metrics series. The simulator drives it on virtual time; the threaded
+and TCP runtimes drive it through serve_master, which takes pushes from
+a Mailbox. A Mailbox holds the published model, which workers pull, and
+the pushes on their way to the master, each released at its due time.
+"""
+from __future__ import annotations
+
+import heapq
+import threading
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from ..core import ParamVector, UpdateVector, apply_global_update
+from ..errors import ConfigurationError, TransportError
+from .config import RunConfig
+from .result import MetricsSeries, RunCounters, RunResult
+
+_QUEUE_TIMEOUT_S = 60.0
+_ABORT_POLL_S = 0.05
+
+
+class Master:
+    """Model, version, counters, staleness histograms and metrics of a run.
+
+    publish(version, values), when given, is called after every apply
+    with the new model; published arrays are read-only.
+    """
+
+    def __init__(self, cfg: RunConfig, oracle, init: np.ndarray,
+                 publish=None):
+        self.cfg = cfg
+        self.rho = cfg.resolve_rho()
+        self.theory_warnings = cfg.theory_warnings()
+        self.model = ParamVector(init)
+        self.version = 0
+        self.counters = RunCounters()
+        self.metrics = MetricsSeries()
+        self.applied_hist: dict[int, int] = {}
+        self.received_hist: dict[int, int] = {}
+        self._publish = publish
+        self._bound = cfg.delay.d_prime_bound
+        self._drop = cfg.delay.enforce == "drop"
+        self._loss_fn = getattr(oracle, "loss_at", None)
+        self._grad_fn = getattr(oracle, "full_grad", None)
+
+    def receive(self, base_version: int, worker_id: int) -> bool:
+        """Count a push arriving now; False if the drop policy discards it."""
+        self.counters.pushes_received += 1
+        stale = self.version - base_version
+        if stale < 0:
+            raise TransportError(
+                f"update from worker {worker_id} claims future base "
+                f"{base_version} > version {self.version}"
+            )
+        self.received_hist[stale] = self.received_hist.get(stale, 0) + 1
+        if self._drop and stale > self._bound:
+            self.counters.pushes_dropped_stale += 1
+            return False
+        return True
+
+    def apply(self, batch: list[UpdateVector], now: float) -> None:
+        """One global update from batch, recorded at time now."""
+        t = self.version
+        stalenesses = [t - upd.base_version for upd in batch]
+        self.model = apply_global_update(self.model, batch, self.rho(t))
+        v = self.model.values
+        self.version = t + 1
+        if self._publish is not None:
+            self._publish(self.version, v)
+        counters = self.counters
+        bound = self._bound
+        for stale in stalenesses:
+            self.applied_hist[stale] = self.applied_hist.get(stale, 0) + 1
+            if bound is not None and stale > bound:
+                counters.stale_applied_violations += 1
+        counters.pushes_applied += len(batch)
+        counters.gradient_evals_applied += len(batch) * self.cfg.Btilde
+        gn = float("nan")
+        lo = float("nan")
+        k_sample = self.cfg.grad_norm_every
+        if k_sample and t % k_sample == 0:
+            if self._grad_fn is not None:
+                g = np.asarray(self._grad_fn(v))
+                gn = float(g @ g)
+            if self._loss_fn is not None:
+                lo = float(self._loss_fn(v))
+        self.metrics.append(
+            t,
+            now,
+            float(np.linalg.norm(v)),
+            max(stalenesses),
+            float(np.mean(stalenesses)),
+            gn,
+            lo,
+            counters.pushes_received,
+            counters.gradient_evals_applied,
+        )
+
+    def result(self, mode: str, wall_clock_s: float,
+               traces=None) -> RunResult:
+        return RunResult(
+            final=self.model,
+            version=self.version,
+            counters=self.counters,
+            metrics=self.metrics,
+            mode=mode,
+            applied_staleness_hist=self.applied_hist,
+            received_staleness_hist=self.received_hist,
+            traces=traces or [],
+            theory_warnings=self.theory_warnings,
+            config_echo=self.cfg.to_dict(),
+            wall_clock_s=wall_clock_s,
+        )
+
+
+@dataclass(frozen=True)
+class Published:
+    """The model workers pull, swapped whole; stop ends their loops."""
+
+    version: int
+    values: np.ndarray
+    stop: bool = False
+
+
+class Mailbox:
+    """Published model and pending pushes between a master and its workers.
+
+    One Condition guards both. A push becomes deliverable transit_s after
+    push() is called; next_delivery() returns deliverable pushes earliest
+    due first, ties in push order. Transit therefore delays only the
+    delivery, never the pushing worker. Real runtimes cannot honour the
+    simulated-only settings, so constructing a mailbox rejects them
+    before any worker thread starts or socket binds.
+    """
+
+    def __init__(self, cfg: RunConfig, initial: np.ndarray):
+        if cfg.delay.enforce == "block":
+            raise ConfigurationError(
+                "enforce='block' is only available on execution='simulated'"
+            )
+        if cfg.delay.kind == "seeded-jitter":
+            raise ConfigurationError(
+                "delay kind 'seeded-jitter' is only available on "
+                "execution='simulated'"
+            )
+        self._cfg = cfg
+        self._cv = threading.Condition(threading.Lock())
+        self._published = Published(0, initial.copy())
+        self._pending: list[tuple[float, int, UpdateVector]] = []
+        self._seq = 0
+        self.pulls_served = 0
+
+    def pull(self, worker_id: int | None = None) -> Published:
+        """The published triple, counted in pulls_served."""
+        with self._cv:
+            self.pulls_served += 1
+            return self._published
+
+    def publish(self, version: int, values: np.ndarray) -> None:
+        pub = Published(version, values)
+        with self._cv:
+            self._published = pub
+
+    def broadcast_stop(self) -> None:
+        with self._cv:
+            old = self._published
+            self._published = Published(old.version, old.values, stop=True)
+
+    def push(self, update: UpdateVector, transit_s: float = 0.0) -> None:
+        due = time.monotonic() + transit_s
+        with self._cv:
+            heapq.heappush(self._pending, (due, self._seq, update))
+            self._seq += 1
+            self._cv.notify()
+
+    def next_delivery(self, timeout: float = _QUEUE_TIMEOUT_S,
+                      abort_check=None) -> UpdateVector:
+        """The next due push; raises TransportError if none is due in time.
+
+        abort_check(), when given, is called at least every 50 ms while
+        waiting, so a failed worker can end the wait.
+        """
+        deadline = time.monotonic() + timeout
+        with self._cv:
+            while True:
+                if abort_check is not None:
+                    abort_check()
+                now = time.monotonic()
+                if self._pending and self._pending[0][0] <= now:
+                    return heapq.heappop(self._pending)[2]
+                if now >= deadline:
+                    raise TransportError(
+                        "master starved: no push arrived in time")
+                wait = min(_ABORT_POLL_S, deadline - now)
+                if self._pending:
+                    wait = min(wait, self._pending[0][0] - now)
+                self._cv.wait(wait)
+
+    def close(self) -> None:
+        """Release what the mailbox holds; an in-process one holds nothing."""
+
+
+def serve_master(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
+                 abort_check=None) -> Master:
+    """Run the master to version T on the pushes mailbox delivers.
+
+    Every applied model is published through mailbox. Returns the Master.
+    """
+    master = Master(cfg, oracle, init, publish=mailbox.publish)
+    start = time.monotonic()
+    batch: list[UpdateVector] = []
+    while master.version < cfg.T:
+        upd = mailbox.next_delivery(abort_check=abort_check)
+        if not master.receive(upd.base_version, upd.worker_id):
+            continue
+        batch.append(upd)
+        if len(batch) == cfg.M:
+            master.apply(batch, time.monotonic() - start)
+            batch = []
+    # every push the master received came from a completed pass of p*B steps
+    master.counters.gradient_evals_computed = (
+        master.counters.pushes_received * cfg.Btilde)
+    return master

@@ -20,19 +20,25 @@ grad_stack, the group steps together, one oracle call per local step for
 the whole group; otherwise each pass runs on its own, in pull order. The
 arithmetic per pass is the same either way, so runs are bit-identical to
 computing each pass at its pull.
+
+The master's bookkeeping (drop policy, applies, counters, staleness
+histograms, metrics) is master.Master, the same one the threaded and TCP
+runtimes drive; this module adds the event heap, the deferred passes and
+the block policy's gate, which only the simulator offers. pass_delays is
+the delay sampler of every runtime.
 """
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ParamVector, UpdateVector, apply_global_update, check_finite
+from ..core import UpdateVector, check_finite
 from ..errors import ConfigurationError, TransportError
 from .config import RunConfig
-from .result import MetricsSeries, RunCounters, RunResult
+from .master import Master
+from .result import RunResult
 from .rng import ROLE_DELAY, ROLE_SAMPLE, draw_pass_indices, substream
 
 _DELIVER = 0
@@ -110,19 +116,23 @@ def _compute_group(cfg: RunConfig, oracle, group: list[_Push],
         push.delta = delta
 
 
-def _pass_timing(cfg: RunConfig, w: int, pass_idx: int) -> tuple[float, float]:
-    """(pass duration, push transit) in virtual seconds, seeded draws."""
-    base = cfg.B * cfg.compute_cost_s  # p threads overlap
+def pass_delays(cfg: RunConfig, w: int, pass_idx: int) -> tuple[float, float]:
+    """(extra pass seconds, push transit seconds) of worker w's pass pass_idx.
+
+    The one delay sampler of every runtime. Draws come from
+    substream(seed, ROLE_DELAY, w, pass_idx): the transit first, then,
+    for "seeded-jitter" only, the extra pass time.
+    """
     kind = cfg.delay.kind
     if kind == "none":
-        return base, 0.0
+        return 0.0, 0.0
     if kind == "fixed":
-        return base, cfg.delay.latency
+        return 0.0, cfg.delay.latency
     rng = substream(cfg.seed, ROLE_DELAY, w, pass_idx)
     transit = float(rng.uniform(cfg.delay.low, cfg.delay.high))
     if kind == "seeded-jitter":
-        return base + float(rng.uniform(0.0, cfg.delay.jitter)), transit
-    return base, transit
+        return float(rng.uniform(0.0, cfg.delay.jitter)), transit
+    return 0.0, transit
 
 
 def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
@@ -139,24 +149,20 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             "zero-duration passes would send unboundedly many pushes per "
             "virtual instant"
         )
-    rho = cfg.resolve_rho()
-    theory_warnings = cfg.theory_warnings()
     v = np.array(init, dtype=float)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ConfigurationError("initial model must be a non-empty vector")
-    model = ParamVector(v)
+    master = Master(cfg, oracle, v)
+    counters = master.counters
 
-    counters = RunCounters()
-    metrics = MetricsSeries()
-    applied_hist: dict[int, int] = {}
-    received_hist: dict[int, int] = {}
-
-    version = 0
-    pending: deque[_Push] = deque()
-    batch: list[_Push] = []
-    deferred: list[_Push] = []  # pulled passes, all based on `version`
-    evals_per_pass = cfg.p * cfg.B
-    inflight_bases: dict[int, int] = {}  # base version -> unapplied push count
+    block = cfg.delay.enforce == "block"
+    bound = cfg.delay.d_prime_bound
+    base_dur = cfg.B * cfg.compute_cost_s  # p threads overlap
+    evals_per_pass = cfg.Btilde
+    batch: list[_Push] = []  # delivered and kept, not yet applied
+    pending: list[_Push] = []  # block: delivered, waiting for the gate
+    deferred: list[_Push] = []  # pulled passes, all based on master.version
+    inflight_bases: dict[int, int] = {}  # block: base -> unapplied pushes
     pass_counter = [0] * cfg.nW
 
     events: list[tuple] = []
@@ -165,15 +171,6 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
         heapq.heappush(events, (0.0, _PULL, seq, w, None))
         seq += 1
 
-    bound = cfg.delay.d_prime_bound
-    policy = cfg.delay.enforce
-    k_sample = cfg.grad_norm_every
-    loss_fn = getattr(oracle, "loss_at", None)
-    grad_fn = getattr(oracle, "full_grad", None)
-
-    def register(base: int) -> None:
-        inflight_bases[base] = inflight_bases.get(base, 0) + 1
-
     def unregister(base: int) -> None:
         left = inflight_bases[base] - 1
         if left:
@@ -181,7 +178,7 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
         else:
             del inflight_bases[base]
 
-    def gate_open() -> bool:
+    def gate_open(batch: list[_Push]) -> bool:
         # block policy: advancing to version+1 must leave every not-yet
         # applied push still able to meet the staleness bound later; when
         # it would not, the master waits for the straggler instead
@@ -193,99 +190,53 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
                 del outside[b]
         if not outside:
             return True
-        return version + 1 - min(outside) <= bound
+        return master.version + 1 - min(outside) <= bound
 
     def compute_deferred() -> None:
         if deferred:
-            _compute_group(cfg, oracle, deferred, model.values)
+            _compute_group(cfg, oracle, deferred, master.model.values)
             deferred.clear()
 
-    def apply_batch(now: float) -> None:
-        nonlocal version, batch, seq, model
-        compute_deferred()  # the last moment model.values is their base
-        t = version
-        stalenesses = [t - push.base_version for push in batch]
-        if policy == "block" and stalenesses and max(stalenesses) > bound:
-            raise TransportError(
-                "staleness gate invariant broken: batch member exceeds bound"
-            )
-        updates = [
-            UpdateVector(push.delta, push.base_version, push.worker_id)
-            for push in batch
-        ]
-        model = apply_global_update(model, updates, rho(t))
-        v = model.values
-        version = t + 1
-        for push, stale in zip(batch, stalenesses):
-            applied_hist[stale] = applied_hist.get(stale, 0) + 1
-            if bound is not None and stale > bound:
-                counters.stale_applied_violations += 1
-            counters.pushes_applied += 1
-            counters.gradient_evals_applied += evals_per_pass
-            unregister(push.base_version)
-            if policy == "block":
+    def apply_batch(batch: list[_Push], now: float) -> None:
+        nonlocal seq
+        compute_deferred()  # the last moment the model is their base
+        master.apply([UpdateVector(push.delta, push.base_version,
+                                   push.worker_id) for push in batch], now)
+        if block:
+            for push in batch:
+                unregister(push.base_version)
                 # the worker was waiting for this apply; it resumes now
                 heapq.heappush(events, (now, _PULL, seq, push.worker_id, None))
                 seq += 1
-        gn = float("nan")
-        lo = float("nan")
-        if k_sample and t % k_sample == 0:
-            if grad_fn is not None:
-                g = np.asarray(grad_fn(v))
-                gn = float(g @ g)
-            if loss_fn is not None:
-                lo = float(loss_fn(v))
-        metrics.append(
-            t,
-            now,
-            float(np.linalg.norm(v)),
-            max(stalenesses),
-            float(np.mean(stalenesses)),
-            gn,
-            lo,
-            counters.pushes_received,
-            counters.gradient_evals_applied,
-        )
-        batch = []
 
-    def try_apply(now: float) -> None:
-        nonlocal batch
-        while version < cfg.T:
-            if policy == "block":
-                if len(pending) < cfg.M:
-                    return
-                ordered = sorted(
-                    pending, key=lambda push: (push.base_version, push.worker_id)
-                )
-                batch = ordered[: cfg.M]
-                if not gate_open():
-                    batch = []
-                    return
-                for push in batch:
-                    pending.remove(push)
-                apply_batch(now)
-                continue
-            while pending and len(batch) < cfg.M:
-                push = pending.popleft()
-                stale = version - push.base_version
-                if policy == "drop" and stale > bound:
-                    counters.pushes_dropped_stale += 1
-                    unregister(push.base_version)
-                    continue
-                batch.append(push)
-            if len(batch) < cfg.M:
+    def apply_blocked(now: float) -> None:
+        while master.version < cfg.T and len(pending) >= cfg.M:
+            batch = sorted(
+                pending, key=lambda push: (push.base_version, push.worker_id)
+            )[: cfg.M]
+            if not gate_open(batch):
                 return
-            apply_batch(now)
+            if max(master.version - push.base_version for push in batch) > bound:
+                raise TransportError(
+                    "staleness gate invariant broken: batch member exceeds bound"
+                )
+            for push in batch:
+                pending.remove(push)
+            apply_batch(batch, now)
 
-    while events and version < cfg.T:
-        now, kind, _, w, payload = heapq.heappop(events)
+    while events and master.version < cfg.T:
+        now, kind, _, w, push = heapq.heappop(events)
         if kind == _DELIVER:
-            push = payload
-            counters.pushes_received += 1
-            stale = version - push.base_version
-            received_hist[stale] = received_hist.get(stale, 0) + 1
-            pending.append(push)
-            try_apply(now)
+            if not master.receive(push.base_version, w):
+                continue
+            if block:
+                pending.append(push)
+                apply_blocked(now)
+                continue
+            batch.append(push)
+            if len(batch) == cfg.M:
+                apply_batch(batch, now)
+                batch = []
         else:
             # serve a model pull and schedule the pass; its delta waits
             # for the apply that leaves this version
@@ -293,33 +244,23 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             pass_idx = pass_counter[w]
             pass_counter[w] += 1
             counters.gradient_evals_computed += evals_per_pass
-            register(version)
-            push = _Push(w, version, pass_idx)
+            base = master.version
+            if block:
+                inflight_bases[base] = inflight_bases.get(base, 0) + 1
+            push = _Push(w, base, pass_idx)
             deferred.append(push)
-            dur, transit = _pass_timing(cfg, w, pass_idx)
+            extra, transit = pass_delays(cfg, w, pass_idx)
+            dur = base_dur + extra
             heapq.heappush(events, (now + dur + transit, _DELIVER, seq, w, push))
             seq += 1
-            if policy != "block":
+            if not block:
                 heapq.heappush(events, (now + dur, _PULL, seq, w, None))
                 seq += 1
 
-    if version < cfg.T:
+    if master.version < cfg.T:
         compute_deferred()  # a failing pass raises its own error first
         raise TransportError(
-            f"simulation starved at version {version} of {cfg.T}; "
+            f"simulation starved at version {master.version} of {cfg.T}; "
             "the staleness gate or worker pool cannot make progress"
         )
-
-    final_wall = metrics.rows[-1][1] if metrics.rows else 0.0
-    return RunResult(
-        final=model,
-        version=version,
-        counters=counters,
-        metrics=metrics,
-        mode="simulated",
-        applied_staleness_hist=applied_hist,
-        received_staleness_hist=received_hist,
-        theory_warnings=theory_warnings,
-        config_echo=cfg.to_dict(),
-        wall_clock_s=final_wall,
-    )
+    return master.result("simulated", master.metrics.rows[-1][1])

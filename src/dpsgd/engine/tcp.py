@@ -4,7 +4,11 @@ One persistent connection per worker. The worker drives the dialogue:
 it sends PULL_REQ and gets back MODEL (or SHUTDOWN once the run is
 over), computes a local pass, then sends PUSH. The master side answers
 pulls from whatever model is currently published, so a slow worker
-never blocks an apply.
+never blocks an apply. The k-th push accepted on a connection gets the
+transit of that worker's pass k, and the server holds it until it is
+due, as the in-process hub does: the worker does not wait, so it sends
+its next PULL_REQ at once. The simulated-only settings, enforce="block"
+and seeded-jitter delays, are rejected before the server binds.
 
 A malformed frame is fatal for its connection only: the master counts
 it, closes that socket, and keeps serving the rest. So is a well-formed
@@ -15,27 +19,22 @@ wire; use the threaded runtime to record overwrite traces.
 """
 from __future__ import annotations
 
-import queue
 import socket
 import threading
 import time
 
 import numpy as np
 
-from ..core import SharedSlab, UpdateVector, make_update_vector
+from ..core import UpdateVector
 from ..errors import TransportError, WireProtocolError
 from .config import RunConfig
-from .result import MetricsSeries, RunCounters, RunResult
-from .threaded import (
-    LocalThreads,
-    _transit_sample,
-    master_collect_loop,
-    run_local_pass,
-)
+from .master import Mailbox, serve_master
+from .result import RunResult
+from .sim import pass_delays
+from .threaded import worker_loop
 from . import wire
 
 _POLL_S = 0.05
-_QUEUE_TIMEOUT_S = 60.0
 
 
 def _recv_exact(sock: socket.socket, n: int, allow_eof: bool = False):
@@ -73,23 +72,18 @@ def send_frame(sock: socket.socket, frame: bytes) -> None:
         raise TransportError(f"socket write failed: {exc}")
 
 
-class TcpMasterServer:
+class TcpMasterServer(Mailbox):
     """Accepts worker connections and funnels their pushes to the master.
 
     start() binds and spawns the accept thread; the owner then runs the
-    collect loop against next_delivery/publish and finally calls
-    broadcast_stop() and close().
+    master against this mailbox and finally calls broadcast_stop() and
+    close().
     """
 
     def __init__(self, cfg: RunConfig, initial: np.ndarray,
                  host: str = "127.0.0.1", port: int = 0):
-        self._cfg = cfg
+        super().__init__(cfg, initial)
         self._dim = int(initial.shape[0])
-        self._deliveries: queue.Queue = queue.Queue()
-        self._lock = threading.Lock()
-        self._version = 0
-        self._values = initial.copy()
-        self._stopping = False
         self._closing = False
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -97,7 +91,6 @@ class TcpMasterServer:
         self._conns: list[socket.socket] = []
         self._host = host
         self._port = port
-        self.pulls_served = 0
         self.malformed_frames = 0
 
     @property
@@ -130,21 +123,25 @@ class TcpMasterServer:
             except OSError:
                 return  # listener shut down or closed
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
+            with self._cv:
                 self._conns.append(conn)
             th = threading.Thread(target=self._serve_conn, args=(conn,),
                                   daemon=True)
             self._handlers.append(th)
             th.start()
 
+    def _count_malformed(self) -> None:
+        with self._cv:
+            self.malformed_frames += 1
+
     def _serve_conn(self, conn: socket.socket) -> None:
+        accepted = 0  # pushes queued from this connection, one per pass
         try:
             while True:
                 try:
                     got = read_frame(conn, allow_eof=True)
                 except WireProtocolError:
-                    with self._lock:
-                        self.malformed_frames += 1
+                    self._count_malformed()
                     return
                 except TransportError:
                     return
@@ -152,34 +149,32 @@ class TcpMasterServer:
                     return  # worker hung up cleanly
                 msg_type, body = got
                 if msg_type == wire.PULL_REQ:
-                    with self._lock:
-                        stopping = self._stopping
-                        frame = (
-                            wire.encode_shutdown()
-                            if stopping
-                            else wire.encode_model(self._version, self._values)
-                        )
-                        self.pulls_served += 1
-                    send_frame(conn, frame)
-                    if stopping:
+                    # encode from the snapshot, outside the lock that
+                    # publish() and every other pull take
+                    pub = self.pull()
+                    send_frame(conn, wire.encode_shutdown() if pub.stop
+                               else wire.encode_model(pub.version, pub.values))
+                    if pub.stop:
                         return
                 elif msg_type == wire.PUSH:
                     if not self._applicable(body):
-                        with self._lock:
-                            self.malformed_frames += 1
+                        self._count_malformed()
                         return
-                    self._deliveries.put(
+                    _, transit = pass_delays(self._cfg, body.worker_id,
+                                             accepted)
+                    self.push(
                         UpdateVector(
                             delta=body.delta,
                             base_version=body.base_version,
                             worker_id=body.worker_id,
-                        )
+                        ),
+                        transit,
                     )
+                    accepted += 1
                 elif msg_type == wire.SHUTDOWN:
                     return
                 else:  # MODEL from a worker makes no sense
-                    with self._lock:
-                        self.malformed_frames += 1
+                    self._count_malformed()
                     return
         finally:
             conn.close()
@@ -187,40 +182,16 @@ class TcpMasterServer:
     def _applicable(self, push: wire.PushMessage) -> bool:
         """Whether the master can apply push; it cannot apply a future base.
 
-        The version is read without the lock, which pull handlers hold
-        while they encode a model: it only grows, and an honest base came
-        from a MODEL frame encoded after publish() set it, so a read here
-        never sees less than that base.
+        The version is read without the lock: it only grows, and an
+        honest base came from a MODEL frame encoded after publish() set
+        it, so a read here never sees less than that base.
         """
         return (
             push.delta.shape[0] == self._dim
             and 0 <= push.worker_id < self._cfg.nW
-            and push.base_version <= self._version
+            and push.base_version <= self._published.version
             and bool(np.isfinite(push.delta).all())
         )
-
-    def publish(self, version: int, values: np.ndarray) -> None:
-        with self._lock:
-            self._version = version
-            self._values = values
-
-    def next_delivery(self, timeout: float = _QUEUE_TIMEOUT_S,
-                      abort_check=None) -> UpdateVector:
-        deadline = time.monotonic() + timeout
-        while True:
-            if abort_check is not None:
-                abort_check()
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportError("master starved: no push arrived in time")
-            try:
-                return self._deliveries.get(timeout=min(_POLL_S, remaining))
-            except queue.Empty:
-                continue
-
-    def broadcast_stop(self) -> None:
-        with self._lock:
-            self._stopping = True
 
     def close(self) -> None:
         self._closing = True
@@ -232,7 +203,7 @@ class TcpMasterServer:
             self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        with self._lock:
+        with self._cv:
             conns = list(self._conns)
         for conn in conns:
             conn.close()
@@ -263,33 +234,28 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
     thread is raised from here. Returns the number of completed passes.
     """
     sock = connect_with_retries(address, attempts=attempts)
-    slab = SharedSlab(np.zeros(oracle.dim))
-    passes = 0
-    with sock, LocalThreads(cfg.p, name=f"worker{worker_id}-local") as local:
-        while True:
-            send_frame(sock, wire.encode_pull_req())
-            got = read_frame(sock)
-            msg_type, body = got
-            if msg_type == wire.SHUTDOWN:
-                return passes
-            if msg_type != wire.MODEL:
-                raise WireProtocolError(
-                    f"expected MODEL or SHUTDOWN, got type {msg_type}"
-                )
-            if body.values.shape[0] != oracle.dim:
-                raise WireProtocolError(
-                    f"model dim {body.values.shape[0]} != oracle dim {oracle.dim}"
-                )
-            slab.load(body.values)
-            run_local_pass(cfg, oracle, slab, worker_id, passes, local)
-            update = make_update_vector(slab, body.values, body.version,
-                                        worker_id)
-            transit = _transit_sample(cfg, worker_id, passes)
-            if transit > 0:
-                time.sleep(transit)
-            send_frame(sock, wire.encode_push(worker_id, update.base_version,
-                                              update.delta))
-            passes += 1
+
+    def pull():
+        send_frame(sock, wire.encode_pull_req())
+        msg_type, body = read_frame(sock)
+        if msg_type == wire.SHUTDOWN:
+            return None
+        if msg_type != wire.MODEL:
+            raise WireProtocolError(
+                f"expected MODEL or SHUTDOWN, got type {msg_type}"
+            )
+        if body.values.shape[0] != oracle.dim:
+            raise WireProtocolError(
+                f"model dim {body.values.shape[0]} != oracle dim {oracle.dim}"
+            )
+        return body
+
+    def push(update: UpdateVector, pass_idx: int) -> None:
+        send_frame(sock, wire.encode_push(worker_id, update.base_version,
+                                          update.delta))
+
+    with sock:
+        return worker_loop(cfg, oracle, worker_id, pull, push)
 
 
 def run_tcp_master(cfg: RunConfig, oracle, init,
@@ -302,47 +268,18 @@ def run_tcp_master(cfg: RunConfig, oracle, init,
     if server is None:
         server = TcpMasterServer(cfg, init, host=host, port=port)
         server.start()
-    counters = RunCounters()
-    metrics = MetricsSeries()
-    applied_hist: dict[int, int] = {}
-    received_hist: dict[int, int] = {}
-    theory_warnings = cfg.theory_warnings()
     start = time.monotonic()
     try:
-        final = master_collect_loop(
-            cfg,
-            oracle,
-            init,
-            lambda: server.next_delivery(abort_check=abort_check),
-            server.publish,
-            counters,
-            metrics,
-            applied_hist,
-            received_hist,
-            abort_check,
-        )
+        master = serve_master(cfg, oracle, init, server, abort_check)
     finally:
         server.broadcast_stop()
         if own_server:
             # give blocked workers one pull round-trip to see the stop flag
             time.sleep(2 * _POLL_S)
             server.close()
-    counters.pulls_served = server.pulls_served
-    counters.malformed_frames = server.malformed_frames
-    counters.gradient_evals_computed = counters.pushes_received * cfg.p * cfg.B
-    return RunResult(
-        final=final,
-        version=cfg.T,
-        counters=counters,
-        metrics=metrics,
-        mode="tcp",
-        applied_staleness_hist=applied_hist,
-        received_staleness_hist=received_hist,
-        traces=[],
-        theory_warnings=theory_warnings,
-        config_echo=cfg.to_dict(),
-        wall_clock_s=time.monotonic() - start,
-    )
+    master.counters.pulls_served = server.pulls_served
+    master.counters.malformed_frames = server.malformed_frames
+    return master.result("tcp", time.monotonic() - start)
 
 
 def run_tcp(cfg: RunConfig, oracle, init=None,

@@ -84,6 +84,14 @@ def test_scalar_field_validation():
         RunConfig(grad_norm_every=-1).validate()
 
 
+def test_busy_compute_cost_mode_is_rejected():
+    # a busy spin holds the interpreter lock, so local threads could not
+    # overlap their compute cost; sleep is the only mode
+    RunConfig(compute_cost_mode="sleep").validate()
+    with pytest.raises(ConfigurationError, match="compute_cost_mode"):
+        RunConfig(compute_cost_mode="busy").validate()
+
+
 def test_delay_model_validation():
     with pytest.raises(ConfigurationError, match="delay kind"):
         DelayModel(kind="gamma").validate()

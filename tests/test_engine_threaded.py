@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from dpsgd.engine import DelayModel, ProblemSpec, RunConfig, build_oracle, run_with_oracle
+from dpsgd.engine import sim, threaded
+from dpsgd.engine.rng import ROLE_DELAY, ROLE_SAMPLE, substream
 from dpsgd.engine.threaded import InprocHub, LocalThreads
 from dpsgd.core import UpdateVector
 from dpsgd.errors import ConfigurationError, TransportError
@@ -68,6 +70,64 @@ def test_threaded_rejects_blocking_policy():
     oracle = build_oracle(cfg.problem, cfg.seed)
     with pytest.raises(ConfigurationError, match="simulated"):
         run_with_oracle(cfg, oracle)
+
+
+SIMULATED_ONLY = {
+    "block": DelayModel(kind="fixed", latency=1e-3, d_prime_bound=2,
+                        enforce="block"),
+    "seeded-jitter": DelayModel(kind="seeded-jitter", high=1e-3,
+                                jitter=1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATED_ONLY))
+def test_threaded_rejects_simulated_only_settings_before_starting(
+        monkeypatch, name):
+    cfg = threaded_config(delay=SIMULATED_ONLY[name])
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    before = threading.active_count()
+
+    def refuse(*args):
+        raise AssertionError("a thread started before the config was rejected")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    with pytest.raises(ConfigurationError, match="simulated"):
+        run_with_oracle(cfg, oracle)
+    assert threading.active_count() == before, threading.enumerate()
+
+
+def recorded_substreams(monkeypatch):
+    """Every substream call of the sampler and of the workers' passes."""
+    calls = []
+
+    def recording(seed, role, *keys):
+        calls.append((role, keys))  # list.append is atomic across threads
+        return substream(seed, role, *keys)
+
+    monkeypatch.setattr(sim, "substream", recording)
+    monkeypatch.setattr(threaded, "substream", recording)
+    return calls
+
+
+def assert_one_delay_draw_per_pass(calls, nW):
+    """Worker w's delay draws are keyed (w, k) for k = 0 .. passes - 1."""
+    delays = [keys for role, keys in calls if role == ROLE_DELAY]
+    passes = [(w, k) for role, (w, h, k) in
+              ((r, keys) for r, keys in calls if r == ROLE_SAMPLE) if h == 0]
+    for w in range(nW):
+        n = sum(pw == w for pw, _ in passes)
+        assert n > 0
+        assert sorted(k for dw, k in delays if dw == w) == list(range(n))
+    assert len(delays) == len(passes)
+    return len(passes)
+
+
+def test_threaded_draws_each_passes_delay_once(monkeypatch):
+    calls = recorded_substreams(monkeypatch)
+    cfg = threaded_config(T=20, delay=DelayModel(kind="uniform", high=2e-3))
+    res = run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
+    passes = assert_one_delay_draw_per_pass(calls, cfg.nW)
+    assert res.counters.pushes_received <= passes
 
 
 def test_traced_run_replays_every_push_exactly():
@@ -250,6 +310,17 @@ def test_delay_scheduler_orders_by_transit():
     hub.close()
     assert first.worker_id == 1
     assert second.worker_id == 0
+
+
+def test_hub_holds_a_push_until_its_transit_has_passed():
+    hub = InprocHub(threaded_config(), np.zeros(2))
+    upd = UpdateVector(np.ones(2), base_version=0, worker_id=0)
+    pushed = time.monotonic()
+    hub.push(upd, 0.6)
+    with pytest.raises(TransportError, match="starved"):
+        hub.next_delivery(timeout=0.05)
+    assert hub.next_delivery(timeout=5.0) is upd
+    assert time.monotonic() - pushed >= 0.6
 
 
 def test_stop_flag_reaches_pullers():

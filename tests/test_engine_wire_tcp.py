@@ -1,13 +1,26 @@
 """Framing golden bytes, malformed-frame rejection, and localhost TCP runs."""
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
+from test_engine_threaded import (
+    SIMULATED_ONLY,
+    assert_one_delay_draw_per_pass,
+    recorded_substreams,
+)
 
-from dpsgd.engine import ProblemSpec, RunConfig, TcpMasterServer, build_oracle, run_tcp
+from dpsgd.engine import (
+    DelayModel,
+    ProblemSpec,
+    RunConfig,
+    TcpMasterServer,
+    build_oracle,
+    run_tcp,
+)
 from dpsgd.engine import tcp, wire
-from dpsgd.errors import TransportError, WireProtocolError
+from dpsgd.errors import ConfigurationError, TransportError, WireProtocolError
 
 # golden frames written out byte by byte, independent of the encoder
 GOLDEN_PULL_REQ = b"DPSG" + b"\x00" + b"\x00\x00\x00\x00"
@@ -143,6 +156,32 @@ def test_tcp_run_leaves_no_thread_behind(p, fail):
     assert threading.active_count() == before, threading.enumerate()
 
 
+@pytest.mark.parametrize("entry", ["run_tcp", "run_tcp_master"])
+@pytest.mark.parametrize("name", sorted(SIMULATED_ONLY))
+def test_tcp_rejects_simulated_only_settings_before_binding(monkeypatch,
+                                                            entry, name):
+    cfg = tcp_config(delay=SIMULATED_ONLY[name])
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    before = threading.active_count()
+
+    def refuse(*args):
+        raise AssertionError("started or bound before the config was rejected")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(socket.socket, "bind", refuse)
+    with pytest.raises(ConfigurationError, match="simulated"):
+        getattr(tcp, entry)(cfg, oracle, np.zeros(oracle.dim))
+    assert threading.active_count() == before, threading.enumerate()
+
+
+def test_tcp_draws_each_passes_delay_once(monkeypatch):
+    calls = recorded_substreams(monkeypatch)
+    cfg = tcp_config(T=20, M=2, delay=DelayModel(kind="uniform", high=2e-3))
+    res = run_tcp(cfg, build_oracle(cfg.problem, cfg.seed))
+    passes = assert_one_delay_draw_per_pass(calls, cfg.nW)
+    assert res.counters.pushes_received <= passes
+
+
 def _client(server):
     sock = socket.create_connection(server.address, timeout=5.0)
     sock.settimeout(5.0)
@@ -248,6 +287,66 @@ def test_server_queues_an_applicable_push():
         assert np.array_equal(upd.delta, np.arange(5.0))
         sock.close()
         assert server.malformed_frames == 0
+    finally:
+        server.close()
+
+
+def test_pulls_see_whole_published_snapshots():
+    # the handler encodes MODEL from one published (version, values)
+    # triple, so no frame mixes one version with another's values
+    dim = 2000
+    server = TcpMasterServer(tcp_config(), np.zeros(dim))
+    server.start()
+    done = threading.Event()
+    sent = [0, 0]
+    seen = [set(), set()]
+    torn = []
+
+    def client(i):
+        with _client(server) as sock:
+            while not done.is_set():
+                sock.sendall(wire.encode_pull_req())
+                sent[i] += 1
+                kind, body = wire.decode_frame(_recv_frame(sock))
+                seen[i].add(body.version)
+                if kind != wire.MODEL or not np.array_equal(
+                        body.values, np.full(dim, float(body.version))):
+                    torn.append((i, kind, body.version))
+
+    clients = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+    try:
+        for th in clients:
+            th.start()
+        for k in range(1, 201):
+            server.publish(k, np.full(dim, float(k)))
+            time.sleep(5e-4)
+        done.set()
+        for th in clients:
+            th.join(timeout=10.0)
+            assert not th.is_alive()
+    finally:
+        done.set()
+        server.close()
+    assert torn == []
+    assert all(len(versions) > 1 for versions in seen)
+    assert server.pulls_served == sum(sent)
+
+
+def test_transit_delays_the_delivery_not_the_next_pull():
+    cfg = tcp_config(delay=DelayModel(kind="fixed", latency=0.3))
+    server = TcpMasterServer(cfg, np.zeros(5))
+    server.start()
+    try:
+        with _client(server) as sock:
+            sent = time.monotonic()
+            sock.sendall(wire.encode_push(0, 0, np.arange(5.0)))
+            sock.sendall(wire.encode_pull_req())
+            kind, body = wire.decode_frame(_recv_frame(sock))
+            assert kind == wire.MODEL and body.version == 0
+            assert time.monotonic() - sent < 0.3
+            upd = server.next_delivery(timeout=5.0)
+            assert time.monotonic() - sent >= 0.3
+        assert (upd.worker_id, upd.base_version) == (0, 0)
     finally:
         server.close()
 
