@@ -83,6 +83,14 @@ def _engine_runs():
                              d_prime_bound=0, enforce="off"),
             grad_norm_every=10,
         ),
+        # a seed the streams mask to 32 bits, and over 1280 passes per
+        # worker: five 256-pass chunks of stream keys for each
+        "wide-seed-chunks": _quad(
+            T=1500, M=2, nW=2, p=2, B=1, seed=2**32 + 5, compute_cost_s=1e-3,
+            delay=DelayModel(kind="uniform", low=0.0, high=3e-3,
+                             d_prime_bound=3, enforce="drop"),
+            grad_norm_every=10,
+        ),
         "sigmoid-nW32": dataclasses.replace(
             sim.config(1), T=300, nW=32, M=4,
             delay=DelayModel(kind="uniform", low=0.0, high=4e-3)),

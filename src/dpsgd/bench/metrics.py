@@ -19,9 +19,6 @@ from ..errors import ConfigurationError
 CSV_SCHEMA = "dpsgd-metrics-v1"
 SUMMARY_SCHEMA = "dpsgd-summary-v1"
 
-# columns stored as integers; the rest round-trip as floats
-_INT_COLUMNS = {"t", "batch_max_staleness", "messages", "effective_gradients"}
-
 
 def write_metrics_csv(path, metrics: MetricsSeries) -> None:
     with open(path, "w", newline="") as fh:
@@ -52,8 +49,8 @@ def read_metrics_csv(path) -> MetricsSeries:
                     f"expected {len(MetricsSeries.COLUMNS)}"
                 )
             vals = [
-                int(v) if name in _INT_COLUMNS else float(v)
-                for name, v in zip(MetricsSeries.COLUMNS, raw)
+                int(v) if code == "q" else float(v)
+                for code, v in zip(MetricsSeries.TYPECODES, raw)
             ]
             out.append(*vals)
         return out

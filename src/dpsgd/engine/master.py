@@ -95,7 +95,7 @@ class Master:
             now,
             float(np.linalg.norm(v)),
             max(stalenesses),
-            float(np.mean(stalenesses)),
+            sum(stalenesses) / len(stalenesses),
             gn,
             lo,
             counters.pushes_received,

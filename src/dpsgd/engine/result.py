@@ -1,6 +1,7 @@
 """Run outputs: counters, per-iteration series, trace bundles."""
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,8 +41,12 @@ class MetricsSeries:
         "effective_gradients",
     )
 
+    # one typed array per column, int64 counts and float64 measurements:
+    # 72 bytes an iteration, against about 330 as a tuple of Python objects
+    TYPECODES = "qddqdddqq"
+
     def __init__(self):
-        self.rows: list[tuple] = []
+        self._columns = tuple(array(code) for code in self.TYPECODES)
 
     def append(
         self,
@@ -55,32 +60,28 @@ class MetricsSeries:
         messages: int,
         effective_gradients: int,
     ) -> None:
-        self.rows.append(
-            (
-                t,
-                wall_clock_s,
-                model_norm,
-                batch_max_staleness,
-                batch_mean_staleness,
-                grad_norm_sq,
-                loss,
-                messages,
-                effective_gradients,
-            )
-        )
+        row = (t, wall_clock_s, model_norm, batch_max_staleness,
+               batch_mean_staleness, grad_norm_sq, loss, messages,
+               effective_gradients)
+        for column, value in zip(self._columns, row):
+            column.append(value)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """One tuple of Python ints and floats per iteration."""
+        return list(zip(*self._columns))
 
     def column(self, name: str) -> np.ndarray:
-        i = self.COLUMNS.index(name)
-        return np.array([row[i] for row in self.rows])
+        return np.array(self._columns[self.COLUMNS.index(name)])
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._columns[0])
 
     def identical(self, other: "MetricsSeries") -> bool:
         """Elementwise equality with NaN == NaN (replay comparisons)."""
-        if len(self.rows) != len(other.rows):
+        if len(self) != len(other):
             return False
-        for a, b in zip(self.rows, other.rows):
+        for a, b in zip(self._columns, other._columns):
             for x, y in zip(a, b):
                 if x != y and not (x != x and y != y):
                     return False

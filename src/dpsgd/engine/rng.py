@@ -7,14 +7,14 @@ engine trajectory by constructing the identical streams.
 
 A stream's key is numpy's ``SeedSequence`` hash of the entropy words
 ``[seed mod 2**32, role, *keys]``, bit for bit: ``substream(...)`` has the
-same state as ``Philox(SeedSequence(words))``. SeedSequence mixes the first
-four words into a four-word pool, then folds each later word into that pool
-with a running hash constant. For the per-pass sample streams, entropy
-``[seed, ROLE_SAMPLE, w, h, pass]``, the pool after the first four words
-depends only on ``(seed, role, w, h)``: it is computed once and cached, and
-only the pass word is folded in per call. Entropy of four words or fewer
-(delay, init and environment streams), and any word outside ``[0, 2**32)``,
-goes through numpy's ``SeedSequence`` unchanged.
+same state as ``Philox(SeedSequence(words))``. The per-pass roles,
+ROLE_SAMPLE ``[seed, role, w, h, pass]`` and ROLE_DELAY
+``[seed, role, w, pass]``, count their last key 0, 1, 2, ...: their Philox
+keys are hashed with numpy arrays for 256 consecutive passes at once, and
+kept in a bounded LRU table of such chunks (at most 16 MiB). Every other
+stream, and any word outside ``[0, 2**32)``, goes through numpy's
+``SeedSequence`` unchanged; an environment stream's key is a random
+episode index, so a chunk would serve one stream.
 
 Each role takes a fixed number of keys: SeedSequence pads entropy shorter
 than four words with zeros, so ``substream(s, r)`` and ``substream(s, r, 0)``
@@ -44,25 +44,33 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _POOL_SIZE = 4
 
+# per-pass roles: the last key counts passes 0, 1, 2, ...
+_TABLE_ROLES = (ROLE_SAMPLE, ROLE_DELAY)
+_CHUNK = 256
 
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    value ^= hash_const
+
+def _hashmix(value, hash_const: int):
+    # never in place: value may be the caller's array
+    value = value ^ hash_const
     hash_const = hash_const * _MULT_A & _MASK32
     value = value * hash_const & _MASK32
     return value ^ (value >> _XSHIFT), hash_const
 
 
-def _mix(x: int, y: int) -> int:
+def _mix(x, y):
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ (result >> _XSHIFT)
 
 
-@lru_cache(maxsize=4096)
-def _prefix_pool(words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(pool, hash constant) after SeedSequence mixes its first 4 words."""
+def _mixed_pool(words: list) -> list:
+    """SeedSequence's entropy pool for 32-bit `words`.
+
+    Each word is an int or a uint64 array; the pool words come out as
+    arrays of the same shape when any word is one, elementwise as numpy's.
+    """
     hash_const = _INIT_A
     pool = []
-    for word in words:
+    for word in words[:_POOL_SIZE] + [0] * (_POOL_SIZE - len(words)):
         value, hash_const = _hashmix(word, hash_const)
         pool.append(value)
     for i_src in range(_POOL_SIZE):
@@ -70,49 +78,65 @@ def _prefix_pool(words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
             if i_src != i_dst:
                 value, hash_const = _hashmix(pool[i_src], hash_const)
                 pool[i_dst] = _mix(pool[i_dst], value)
-    return tuple(pool), hash_const
-
-
-class _PoolSeed(ISeedSequence):
-    """A SeedSequence reduced to its mixed pool; generate_state as numpy's."""
-
-    __slots__ = ("pool",)
-
-    def __init__(self, pool: list[int]):
-        self.pool = pool
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        out_dtype = np.dtype(dtype)
-        if out_dtype != np.uint32 and out_dtype != np.uint64:
-            raise ValueError("only support uint32 or uint64")
-        hash_const = _INIT_B
-        state = []
-        for i in range(n_words * out_dtype.itemsize // 4):
-            value = self.pool[i % _POOL_SIZE] ^ hash_const
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * hash_const & _MASK32
-            state.append(value ^ value >> _XSHIFT)
-        if out_dtype == np.uint64:  # little-endian word pairs, as numpy's
-            state = [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
-        return np.array(state, dtype=out_dtype.type)
-
-
-def _seed_for(words: list[int]):
-    """SeedSequence(words), or an equal-state _PoolSeed when it is cheaper."""
-    if len(words) <= _POOL_SIZE or min(words) < 0 or max(words) > _MASK32:
-        return np.random.SeedSequence(words)
-    pool, hash_const = _prefix_pool(tuple(words[:_POOL_SIZE]))
-    pool = list(pool)
     for word in words[_POOL_SIZE:]:
         for i in range(_POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const)
             pool[i] = _mix(pool[i], value)
-    return _PoolSeed(pool)
+    return pool
+
+
+def _generate_state(pool: list, n_words: int, dtype=np.uint32) -> np.ndarray:
+    """SeedSequence.generate_state over `pool`: shape (n_words, *pool shape)."""
+    out_dtype = np.dtype(dtype)
+    if out_dtype != np.uint32 and out_dtype != np.uint64:
+        raise ValueError("only support uint32 or uint64")
+    hash_const = _INIT_B
+    state = []
+    for i in range(n_words * out_dtype.itemsize // 4):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> _XSHIFT)
+    if out_dtype == np.uint64:  # little-endian word pairs, as numpy's
+        state = [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+    return np.array(state, dtype=out_dtype.type)
+
+
+@lru_cache(maxsize=4096)
+def _chunk_keys(prefix: tuple[int, ...], chunk: int) -> np.ndarray:
+    """Philox keys, (CHUNK, 2) uint64, of entropy [*prefix, c] for the
+    CHUNK consecutive c from chunk * CHUNK."""
+    last = np.arange(chunk * _CHUNK, (chunk + 1) * _CHUNK, dtype=np.uint64)
+    keys = _generate_state(_mixed_pool([*prefix, last]), 2, np.uint64).T.copy()
+    keys.setflags(write=False)
+    return keys
+
+
+class _KeySeed(ISeedSequence):
+    """A Philox seed whose key is already derived: Philox asks for nothing
+    but generate_state(2, np.uint64)."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds a Philox key: 2 uint64 words only")
+        return self.key
 
 
 def substream(seed: int, role: int, *keys: int) -> np.random.Generator:
     entropy = [int(seed) & _MASK32, int(role)] + [int(k) for k in keys]
-    return np.random.Generator(np.random.Philox(_seed_for(entropy)))
+    if (entropy[1] in _TABLE_ROLES and keys
+            and min(entropy[2:]) >= 0 and max(entropy[2:]) <= _MASK32):
+        last = entropy.pop()
+        seed_seq = _KeySeed(
+            _chunk_keys(tuple(entropy), last // _CHUNK)[last % _CHUNK])
+    else:
+        seed_seq = np.random.SeedSequence(entropy)
+    return np.random.Generator(np.random.Philox(seed_seq))
 
 
 def draw_indices(rng: np.random.Generator, n: int, size: int = 1):

@@ -263,4 +263,5 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             f"simulation starved at version {master.version} of {cfg.T}; "
             "the staleness gate or worker pool cannot make progress"
         )
-    return master.result("simulated", master.metrics.rows[-1][1])
+    return master.result("simulated",
+                         float(master.metrics.column("wall_clock_s")[-1]))

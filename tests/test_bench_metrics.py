@@ -62,6 +62,17 @@ def test_metrics_csv_round_trips_bitwise(tmp_path):
     assert back.rows[1][2] == 0.1 + 0.2
 
 
+def test_series_columns_are_typed():
+    s = hand_series()
+    assert [type(x) for x in s.rows[1]] == [
+        int, float, float, int, float, float, float, int, int]
+    assert s.column("messages").dtype == np.int64
+    assert s.column("loss").dtype == np.float64
+    assert len(s) == 3
+    with pytest.raises(TypeError):
+        s.append(4, 0.5, 1.0, 0.5, 0.0, NAN, NAN, 8, 16)
+
+
 def test_metrics_csv_round_trips_engine_series(tmp_path):
     _, result = tiny_run()
     path = tmp_path / "run.csv"

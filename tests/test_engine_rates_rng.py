@@ -1,4 +1,8 @@
 import math
+import random
+import sys
+import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,12 +16,14 @@ from dpsgd.engine import (
     substream,
     theory_constant_rate,
 )
+from dpsgd.engine import rng
 from dpsgd.engine.rng import (
     ROLE_DELAY,
     ROLE_ENV,
     ROLE_INIT,
     ROLE_SAMPLE,
-    _seed_for,
+    _generate_state,
+    _mixed_pool,
     draw_pass_indices,
 )
 from dpsgd.errors import ConfigurationError
@@ -145,7 +151,7 @@ def test_substream_keys_match_numpy_seed_sequence(words):
        n_words=st.integers(0, 9),
        dtype=st.sampled_from([np.uint32, np.uint64, "u4", "<u8"]))
 def test_seed_state_matches_numpy_generate_state(words, n_words, dtype):
-    got = _seed_for(words).generate_state(n_words, dtype)
+    got = _generate_state(_mixed_pool(words), n_words, dtype)
     want = np.random.SeedSequence(words).generate_state(n_words, dtype)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -156,7 +162,83 @@ def test_seed_state_rejects_other_dtypes_like_numpy():
             with pytest.raises(ValueError):
                 np.random.SeedSequence(words).generate_state(2, dtype)
             with pytest.raises(ValueError):
-                _seed_for(words).generate_state(2, dtype)
+                _generate_state(_mixed_pool(words), 2, dtype)
+
+
+def fresh_chunk_table(monkeypatch):
+    """An empty key table for substream; returns the (prefix, chunk) list
+    of its derivations."""
+    derived = []
+    derive = rng._chunk_keys.__wrapped__
+
+    def recording(prefix, chunk):
+        derived.append((prefix, chunk))  # list.append is atomic across threads
+        return derive(prefix, chunk)
+
+    monkeypatch.setattr(rng, "_chunk_keys", lru_cache(maxsize=4096)(recording))
+    return derived
+
+
+def _assert_pass_streams_match_numpy(seed, w, h, c):
+    _assert_same_stream(substream(seed, ROLE_SAMPLE, w, h, c),
+                        _numpy_stream([seed, ROLE_SAMPLE, w, h, c]))
+    _assert_same_stream(substream(seed, ROLE_DELAY, w, c),
+                        _numpy_stream([seed, ROLE_DELAY, w, c]))
+
+
+@pytest.mark.parametrize("c", [0, 255, 256, 257, 2**32 - 1])
+@pytest.mark.parametrize("edge", [0, 2**32 - 1])
+def test_pass_streams_match_numpy_at_chunk_edges(c, edge):
+    _assert_pass_streams_match_numpy(edge, edge, edge, c)
+    _assert_pass_streams_match_numpy(7, edge, 1, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=word, w=word, h=word, c=st.integers(0, 2**32 - 1))
+def test_pass_streams_match_numpy_seed_sequence(seed, w, h, c):
+    _assert_pass_streams_match_numpy(seed, w, h, c)
+
+
+def test_pass_stream_seed_holds_only_its_philox_key():
+    seed_seq = substream(3, ROLE_SAMPLE, 1, 0, 9).bit_generator.seed_seq
+    assert np.array_equal(seed_seq.generate_state(2, np.uint64),
+                          np.random.SeedSequence([3, ROLE_SAMPLE, 1, 0, 9])
+                          .generate_state(2, np.uint64))
+    for n_words, dtype in ((4, np.uint32), (3, np.uint64), (2, np.uint32)):
+        with pytest.raises(ValueError):
+            seed_seq.generate_state(n_words, dtype)
+
+
+def test_concurrent_pass_streams_across_a_chunk_boundary(monkeypatch):
+    # the threaded runtime's local threads call substream at once
+    derived = fresh_chunk_table(monkeypatch)
+    key_of = lambda gen: gen.bit_generator.state["state"]["key"]
+    passes = list(range(200, 312))
+    barrier = threading.Barrier(4)
+    got = [{} for _ in range(4)]
+
+    def ask(h):
+        order = random.Random(h).sample(passes, len(passes))
+        barrier.wait(timeout=10)
+        for c in order:
+            got[h][c] = key_of(substream(3, ROLE_SAMPLE, 1, 0, c))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(h,)) for h in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for c in passes:
+        want = key_of(_numpy_stream([3, ROLE_SAMPLE, 1, 0, c]))
+        for h in range(4):
+            assert np.array_equal(got[h][c], want)
+    assert {chunk for _, chunk in derived} == {0, 1}
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from test_engine_rates_rng import fresh_chunk_table
+from test_engine_threaded import recorded_substreams
 
 from dpsgd.engine import (
     DelayModel,
@@ -11,9 +15,10 @@ from dpsgd.engine import (
     substream,
 )
 from dpsgd.engine import sim
-from dpsgd.engine.rng import ROLE_DELAY, ROLE_SAMPLE
+from dpsgd.engine.rng import ROLE_DELAY, ROLE_ENV, ROLE_SAMPLE
 from dpsgd.engine.sim import run_simulated
 from dpsgd.errors import ConfigurationError, NumericFaultError, TransportError
+from dpsgd.hsa2c import ToyEnv, hsa2c_config, run_hsa2c
 
 
 def quad_config(**overrides):
@@ -317,6 +322,60 @@ def test_stacked_oracle_call_budget():
     assert oracle.grad_stack_calls % steps == 0
     # one stacked call per local step serves every pass of its group
     assert res.counters.gradient_evals_computed > oracle.grad_stack_calls
+
+
+def recorded_seed_sequences(monkeypatch):
+    """The entropy of every SeedSequence that substream builds."""
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def recording(entropy):
+        built.append(list(entropy))
+        return seed_sequence(entropy)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    return built
+
+
+def test_pass_stream_key_budget(monkeypatch):
+    # the benchmark's sim-sigmoid shape, long enough to cross chunks:
+    # counts only, never time
+    built = recorded_seed_sequences(monkeypatch)
+    derived = fresh_chunk_table(monkeypatch)
+    calls = recorded_substreams(monkeypatch)
+    cfg = RunConfig(
+        T=600, M=2, nW=4, p=2, B=2, eta=0.05,
+        rho_schedule={"kind": "constant", "value": 0.5},
+        seed=1,
+        problem=ProblemSpec(name="sigmoid", n=2000, dim=20, batch_size=4),
+        execution="simulated",
+        compute_cost_s=1e-3,
+        delay=DelayModel(kind="uniform", low=0.0, high=4e-3,
+                         d_prime_bound=4, enforce="drop"),
+        grad_norm_every=10,
+    )
+    run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
+    assert not [e for e in built if e[1] in (ROLE_SAMPLE, ROLE_DELAY)]
+    passes = {}
+    for role, (*prefix, c) in calls:
+        passes.setdefault((cfg.seed, role, *prefix), set()).add(c)
+    assert all(c == set(range(len(c))) for c in passes.values())
+    assert max(len(c) for c in passes.values()) > 256
+    assert len(derived) == sum(math.ceil(len(c) / 256) for c in passes.values())
+    assert {prefix for prefix, _ in derived} == set(passes)
+
+
+def test_episode_streams_stay_off_the_key_table(monkeypatch):
+    # an episode index is random in [0, 2**31): one chunk per episode
+    # would cost far more than the SeedSequence it saves
+    built = recorded_seed_sequences(monkeypatch)
+    derived = fresh_chunk_table(monkeypatch)
+    env = ToyEnv(side=3)
+    cfg = hsa2c_config(env, m=1, T=4, seed=5)
+    run_hsa2c(cfg, env)
+    assert sum(e[1] == ROLE_ENV for e in built) >= cfg.T
+    assert {prefix[1] for prefix, _ in derived} == {ROLE_SAMPLE}
+    assert all(chunk == 0 for _, chunk in derived)
 
 
 class FaultAtCall(PerPass):
