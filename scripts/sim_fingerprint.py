@@ -91,6 +91,14 @@ def _engine_runs():
                              d_prime_bound=3, enforce="drop"),
             grad_norm_every=10,
         ),
+        # the serial shape of tests/test_acceptance.py test 05: one pass
+        # per iteration, 1000 passes over four chunks of one prefix
+        "test05-serial": _quad(
+            T=1000, eta=1.0, seed=0,
+            problem=ProblemSpec(name="sigmoid", n=1000, dim=20,
+                                batch_size=10, data_seed=1234),
+            grad_norm_every=10,
+        ),
         "sigmoid-nW32": dataclasses.replace(
             sim.config(1), T=300, nW=32, M=4,
             delay=DelayModel(kind="uniform", low=0.0, high=4e-3)),

@@ -39,7 +39,7 @@ from ..errors import ConfigurationError, TransportError
 from .config import RunConfig
 from .master import Master
 from .result import RunResult
-from .rng import ROLE_DELAY, ROLE_SAMPLE, draw_pass_indices, substream
+from .rng import pass_indices, pass_uniforms
 
 _DELIVER = 0
 _PULL = 1
@@ -53,20 +53,27 @@ class _Push:
     delta: np.ndarray | None = None  # set at the apply leaving base_version
 
 
+def step_indices(draws: np.ndarray, size: int):
+    """One local thread's pass draws split into its steps' indices:
+    Python ints at size 1, else the rows of a (B, size) view."""
+    return draws.tolist() if size == 1 else draws.reshape(-1, size)
+
+
 def _compute_pass(cfg: RunConfig, oracle, w: int, pass_idx: int,
                   v: np.ndarray) -> np.ndarray:
     """One worker pass's delta, local threads unrolled thread-major.
 
     Sequential unrolling is one valid lock-free execution (every store
     survives); thread h always consumes its own stream, so the schedule
-    does not change what is sampled. Each thread draws the indices of
-    its B steps in one call, equal to B draw_indices calls.
+    does not change what is sampled. Thread h's B steps take their
+    indices from one pass_indices draw, equal to B draw_indices calls
+    on substream(seed, ROLE_SAMPLE, w, h, pass_idx).
     """
     u = v.copy()
     size = cfg.problem.batch_size
     for h in range(cfg.p):
-        rng = substream(cfg.seed, ROLE_SAMPLE, w, h, pass_idx)
-        for idx in draw_pass_indices(rng, oracle.n, cfg.B, size):
+        draws = pass_indices(cfg.seed, w, h, pass_idx, oracle.n, cfg.B * size)
+        for idx in step_indices(draws, size):
             g = np.asarray(oracle.grad_at(idx, u), dtype=float)
             check_finite(g, "local gradient")
             u -= cfg.eta * g
@@ -84,9 +91,9 @@ def _stacked_deltas(cfg: RunConfig, oracle, group: list[_Push],
     the error of the first failing pass.
     """
     size = cfg.problem.batch_size
+    seed, n, count = cfg.seed, oracle.n, cfg.B * size
     idx = np.stack([
-        substream(cfg.seed, ROLE_SAMPLE, push.worker_id, h,
-                  push.pass_idx).integers(0, oracle.n, size=cfg.B * size)
+        pass_indices(seed, push.worker_id, h, push.pass_idx, n, count)
         for push in group
         for h in range(cfg.p)
     ]).reshape(len(group), cfg.p, cfg.B, size)
@@ -119,19 +126,22 @@ def _compute_group(cfg: RunConfig, oracle, group: list[_Push],
 def pass_delays(cfg: RunConfig, w: int, pass_idx: int) -> tuple[float, float]:
     """(extra pass seconds, push transit seconds) of worker w's pass pass_idx.
 
-    The one delay sampler of every runtime. Draws come from
-    substream(seed, ROLE_DELAY, w, pass_idx): the transit first, then,
-    for "seeded-jitter" only, the extra pass time.
+    The one delay sampler of every runtime. It scales the doubles of
+    substream(seed, ROLE_DELAY, w, pass_idx) (pass_uniforms) as
+    Generator.uniform would: the first to the transit, then, for
+    "seeded-jitter" only, the second to the extra pass time.
     """
     kind = cfg.delay.kind
     if kind == "none":
         return 0.0, 0.0
     if kind == "fixed":
         return 0.0, cfg.delay.latency
-    rng = substream(cfg.seed, ROLE_DELAY, w, pass_idx)
-    transit = float(rng.uniform(cfg.delay.low, cfg.delay.high))
+    u_transit, u_extra = pass_uniforms(cfg.seed, w, pass_idx)
+    # Generator.uniform(low, high) is low + (high - low) * u; for
+    # uniform(0.0, jitter) that is jitter * u exactly
+    transit = cfg.delay.low + (cfg.delay.high - cfg.delay.low) * u_transit
     if kind == "seeded-jitter":
-        return float(rng.uniform(0.0, cfg.delay.jitter)), transit
+        return cfg.delay.jitter * u_extra, transit
     return 0.0, transit
 
 

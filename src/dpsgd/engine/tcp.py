@@ -31,7 +31,7 @@ from .config import RunConfig
 from .master import Mailbox, serve_master
 from .result import RunResult
 from .sim import pass_delays
-from .threaded import worker_loop
+from .threaded import check_joined, join_workers, worker_loop
 from . import wire
 
 _POLL_S = 0.05
@@ -301,7 +301,8 @@ def run_tcp(cfg: RunConfig, oracle, init=None,
             raise TransportError(f"worker failed: {errors[0]!r}") from errors[0]
 
     workers = [
-        threading.Thread(target=worker_body, args=(w,)) for w in range(cfg.nW)
+        threading.Thread(target=worker_body, args=(w,), name=f"worker{w}")
+        for w in range(cfg.nW)
     ]
     for th in workers:
         th.start()
@@ -310,9 +311,9 @@ def run_tcp(cfg: RunConfig, oracle, init=None,
                                 abort_check=abort_check)
     finally:
         server.broadcast_stop()
-        for th in workers:
-            th.join(timeout=30.0)
+        join_workers(workers)
         server.close()
+    check_joined(workers)
     # worker errors mid-run abort the master via abort_check; errors raised
     # by stragglers after the run completed are not failures
     result.counters.pulls_served = server.pulls_served

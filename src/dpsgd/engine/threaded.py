@@ -24,10 +24,11 @@ from ..errors import TransportError
 from .config import RunConfig
 from .master import Mailbox, serve_master
 from .result import RunResult, TraceBundle
-from .rng import ROLE_SAMPLE, draw_pass_indices, substream
-from .sim import pass_delays
+from .rng import pass_indices
+from .sim import pass_delays, step_indices
 
 _TRACE_JITTER_S = 2e-4
+_JOIN_TIMEOUT_S = 30.0  # for all of a run's workers to stop after the last apply
 
 
 class InprocHub(Mailbox):
@@ -126,18 +127,21 @@ def run_local_pass(
 ) -> int:
     """One worker pass: p local threads take B lock-free steps each.
 
-    Local thread h draws the indices of its B steps in one call on
-    substream(seed, ROLE_SAMPLE, worker_id, h, pass_idx), equal to B
-    draw_indices calls, and runs on local, the worker's LocalThreads
-    (h = 0 in the calling thread). An error in any local thread is
-    raised here once all p have stopped.
+    Local thread h's B steps take their indices from one pass_indices
+    draw, equal to B draw_indices calls on substream(seed, ROLE_SAMPLE,
+    worker_id, h, pass_idx); all p draws are taken before the threads
+    start. The threads run on local, the worker's LocalThreads (h = 0 in
+    the calling thread). An error in any local thread is raised here
+    once all p have stopped.
     Returns the gradient evaluations made, p * B.
     """
     size = cfg.problem.batch_size
+    steps = [step_indices(pass_indices(cfg.seed, worker_id, h, pass_idx,
+                                       oracle.n, cfg.B * size), size)
+             for h in range(cfg.p)]
 
     def thread_body(h: int) -> None:
-        rng = substream(cfg.seed, ROLE_SAMPLE, worker_id, h, pass_idx)
-        for idx in draw_pass_indices(rng, oracle.n, cfg.B, size):
+        for idx in steps[h]:
             u_hat = slab.read()
             g = oracle.grad_at(idx, u_hat)
             simulate_compute_cost(cfg)
@@ -186,6 +190,23 @@ def worker_loop(cfg: RunConfig, oracle, worker_id: int, pull, push,
             pass_idx += 1
 
 
+def join_workers(workers: list[threading.Thread]) -> None:
+    """Join a run's worker threads, waiting at most _JOIN_TIMEOUT_S in all."""
+    deadline = time.monotonic() + _JOIN_TIMEOUT_S
+    for th in workers:
+        th.join(timeout=max(0.0, deadline - time.monotonic()))
+
+
+def check_joined(workers: list[threading.Thread]) -> None:
+    """Raise TransportError naming every worker join_workers left alive."""
+    alive = [th.name for th in workers if th.is_alive()]
+    if alive:
+        raise TransportError(
+            f"workers still running {_JOIN_TIMEOUT_S} s after the run "
+            f"stopped: {', '.join(alive)}"
+        )
+
+
 def run_threaded(cfg: RunConfig, oracle, init) -> RunResult:
     init = np.asarray(init, dtype=float)
     hub = InprocHub(cfg, init)
@@ -209,7 +230,8 @@ def run_threaded(cfg: RunConfig, oracle, init) -> RunResult:
         if errors:
             raise TransportError(f"worker failed: {errors[0]!r}") from errors[0]
 
-    workers = [threading.Thread(target=worker, args=(w,)) for w in range(cfg.nW)]
+    workers = [threading.Thread(target=worker, args=(w,), name=f"worker{w}")
+               for w in range(cfg.nW)]
     start = time.monotonic()
     for th in workers:
         th.start()
@@ -217,8 +239,8 @@ def run_threaded(cfg: RunConfig, oracle, init) -> RunResult:
         master = serve_master(cfg, oracle, init, hub, abort_check)
     finally:
         hub.broadcast_stop()
-        for th in workers:
-            th.join(timeout=30.0)
+        join_workers(workers)
     abort_check()
+    check_joined(workers)
     master.counters.pulls_served = hub.pulls_served
     return master.result("threaded", time.monotonic() - start, traces)

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..engine import ProblemSpec, RunConfig, RunResult, run_with_oracle
-from ..engine.rng import ROLE_ENV, ROLE_SAMPLE, draw_indices, substream
+from ..engine.rng import ROLE_ENV, pass_indices, substream
 from ..errors import ConfigurationError
 from ..problems import _check_index
 from .agent import ActorCriticParams, ac_gradients, kstep_returns, rollout
@@ -176,8 +176,7 @@ def reference_a2c(
     oracle = GridworldOracle(env, seed, t_max=t_max)
     v = params0.to_vector()
     for t in range(T):
-        rng = substream(seed, ROLE_SAMPLE, 0, 0, t)
-        idx = np.atleast_1d(draw_indices(rng, oracle.n, m))
+        idx = pass_indices(seed, 0, 0, t, oracle.n, m)
         g = np.asarray(oracle.grad_at(idx, v), dtype=float)
         u = v.copy()
         u -= eta * g

@@ -48,18 +48,6 @@ class Corpus:
         return sum(doc.length for doc in self.docs)
 
 
-def _make_document(word_ids, counts, vocab_size: int) -> Document:
-    ids = np.asarray(word_ids, dtype=np.int64)
-    cnt = np.asarray(counts, dtype=np.int64)
-    if ids.shape != cnt.shape or ids.ndim != 1:
-        raise ConfigurationError("word_ids and counts must be equal-length 1-D")
-    if ids.size and ((ids < 0).any() or (ids >= vocab_size).any()):
-        raise ConfigurationError(f"word id out of range [0, {vocab_size})")
-    if (cnt < 1).any():
-        raise ConfigurationError("counts must be >= 1")
-    return Document(ids, cnt)
-
-
 def _parse_int(token: str, path, line_no: int, what: str) -> int:
     try:
         return int(token)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine import ProblemSpec, RunConfig, RunResult, run_with_oracle
-from ..engine.rng import ROLE_SAMPLE, draw_indices, substream
+from ..engine.rng import pass_indices
 from ..errors import ConfigurationError
 from ..problems import _check_index
 from .corpus import Corpus
@@ -111,8 +111,7 @@ def serial_svi(
     history: list[tuple[float, int, float]] = []
     start = time.monotonic()
     for t in range(T):
-        rng = substream(seed, ROLE_SAMPLE, 0, 0, t)
-        idx = np.atleast_1d(draw_indices(rng, corpus.n_docs, G))
+        idx = pass_indices(seed, 0, 0, t, corpus.n_docs, G)
         model = model0.with_lambda(lam)
         batch = [corpus.docs[j] for j in idx]
         states = estep_docs(model, batch, tol, max_iters)

@@ -24,8 +24,10 @@ from dpsgd.engine.rng import (
     ROLE_SAMPLE,
     _generate_state,
     _mixed_pool,
-    draw_pass_indices,
+    pass_indices,
+    pass_uniforms,
 )
+from dpsgd.engine.sim import step_indices
 from dpsgd.errors import ConfigurationError
 
 
@@ -179,6 +181,22 @@ def fresh_chunk_table(monkeypatch):
     return derived
 
 
+def fresh_draw_tables(monkeypatch):
+    """Empty draw tables for pass_indices and pass_uniforms; returns the
+    (prefix, chunk) list of the tables they build."""
+    built = []
+    for name in ("_index_table", "_delay_table"):
+        build = getattr(rng, name).__wrapped__
+
+        def recording(prefix, chunk, *shape, build=build):
+            built.append((prefix, chunk))  # atomic across threads
+            return build(prefix, chunk, *shape)
+
+        monkeypatch.setattr(rng, name,
+                            lru_cache(maxsize=rng._MAX_TABLES)(recording))
+    return built
+
+
 def _assert_pass_streams_match_numpy(seed, w, h, c):
     _assert_same_stream(substream(seed, ROLE_SAMPLE, w, h, c),
                         _numpy_stream([seed, ROLE_SAMPLE, w, h, c]))
@@ -210,8 +228,10 @@ def test_pass_stream_seed_holds_only_its_philox_key():
 
 
 def test_concurrent_pass_streams_across_a_chunk_boundary(monkeypatch):
-    # the threaded runtime's local threads call substream at once
+    # the threaded runtime's local threads call substream, and draw from
+    # the tables, at once
     derived = fresh_chunk_table(monkeypatch)
+    tables = fresh_draw_tables(monkeypatch)
     key_of = lambda gen: gen.bit_generator.state["state"]["key"]
     passes = list(range(200, 312))
     barrier = threading.Barrier(4)
@@ -221,7 +241,9 @@ def test_concurrent_pass_streams_across_a_chunk_boundary(monkeypatch):
         order = random.Random(h).sample(passes, len(passes))
         barrier.wait(timeout=10)
         for c in order:
-            got[h][c] = key_of(substream(3, ROLE_SAMPLE, 1, 0, c))
+            got[h][c] = (key_of(substream(3, ROLE_SAMPLE, 1, 0, c)),
+                         pass_indices(3, 1, 0, c, 2000, 8),
+                         pass_uniforms(3, 1, c))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -235,10 +257,18 @@ def test_concurrent_pass_streams_across_a_chunk_boundary(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for c in passes:
-        want = key_of(_numpy_stream([3, ROLE_SAMPLE, 1, 0, c]))
+        sample = _numpy_stream([3, ROLE_SAMPLE, 1, 0, c])
+        want_key = key_of(sample)
+        want_indices = sample.integers(0, 2000, size=8)
+        delay = _numpy_stream([3, ROLE_DELAY, 1, c])
+        want_uniforms = (delay.random(), delay.random())
         for h in range(4):
-            assert np.array_equal(got[h][c], want)
+            key, indices, uniforms = got[h][c]
+            assert np.array_equal(key, want_key)
+            assert np.array_equal(indices, want_indices)
+            assert uniforms == want_uniforms
     assert {chunk for _, chunk in derived} == {0, 1}
+    assert {chunk for _, chunk in tables} == {0, 1}
 
 
 @settings(max_examples=100, deadline=None)
@@ -292,9 +322,9 @@ def test_substream_keys_disjoint_across_keys_and_stable(seed, role, data):
 @pytest.mark.parametrize("steps", [1, 2, 5])
 def test_one_pass_draw_equals_per_step_draws(n, size, steps):
     for pass_idx in range(4):
-        one = substream(9, ROLE_SAMPLE, 1, 0, pass_idx)
+        draws = pass_indices(9, 1, 0, pass_idx, n, steps * size)
         each = substream(9, ROLE_SAMPLE, 1, 0, pass_idx)
-        got = draw_pass_indices(one, n, steps, size)
+        got = list(step_indices(draws, size))
         want = [draw_indices(each, n, size) for _ in range(steps)]
         assert len(got) == steps
         for g, w in zip(got, want):
@@ -303,7 +333,65 @@ def test_one_pass_draw_equals_per_step_draws(n, size, steps):
                 assert g == w
             else:
                 assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert _same_state(one.bit_generator.state, each.bit_generator.state)
-        # a 32-bit draw next reads the half word Philox may have buffered
-        assert one.integers(0, 5, dtype=np.uint32) == each.integers(
-            0, 5, dtype=np.uint32)
+                # rows of the draw table are read-only; n >= 2**32 falls
+                # back to numpy's own array
+                assert g.flags.writeable == (n >= 2**32)
+
+
+def _numpy_pass_draws(seed, w, h, c, n, count):
+    """(integers(0, n, size=count), whether numpy drew more than count
+    32-bit words for them) on the pass's sample stream."""
+    drawn = substream(seed, ROLE_SAMPLE, w, h, c)
+    values = drawn.integers(0, n, size=count)
+    exact = substream(seed, ROLE_SAMPLE, w, h, c)
+    exact.integers(0, 2**32, size=count, dtype=np.uint32)
+    redrawn = n > 1 and not _same_state(drawn.bit_generator.state,
+                                        exact.bit_generator.state)
+    return values, redrawn
+
+
+def _assert_pass_draws_match_numpy(seed, w, h, c, n, count):
+    want, redrawn = _numpy_pass_draws(seed, w, h, c, n, count)
+    got = pass_indices(seed, w, h, c, n, count)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    in_table = (max(w, h, c) <= 2**32 - 1 and n <= 2**32 - 1
+                and count <= rng._MAX_COUNT)
+    # a table row is read-only; a fallback pass gets numpy's own array
+    assert got.flags.writeable == (redrawn or not in_table)
+    if got.flags.writeable:
+        got[:] = 0  # the caller's to keep: the table is untouched
+        assert np.array_equal(pass_indices(seed, w, h, c, n, count), want)
+    delay = substream(seed, ROLE_DELAY, w, c)
+    assert pass_uniforms(seed, w, c) == (delay.random(), delay.random())
+
+
+EDGE_N = [1, 2, 2000, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**40]
+
+
+@pytest.mark.parametrize("n", EDGE_N)
+def test_pass_draws_match_numpy_at_edges(n):
+    # counts of 1-3 Philox blocks; at 2**31 + 1 about half of all draws
+    # are redrawn by numpy, so most rows take the fallback
+    for seed in (2**32 + 5, 0):
+        for count in (1, 3, 8, 9, 17):
+            for c in (0, 255, 256, 257, 2**32 - 1):
+                _assert_pass_draws_match_numpy(seed, 3, 1, c, n, count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=word | st.integers(2**32, 2**70), w=word, h=word,
+       c=st.integers(0, 600) | st.integers(0, 2**33),
+       n=st.sampled_from(EDGE_N) | st.integers(1, 2**40),
+       count=st.integers(1, 40))
+def test_pass_draws_match_numpy(seed, w, h, c, n, count):
+    _assert_pass_draws_match_numpy(seed, w, h, c, n, count)
+
+
+def test_pass_draw_tables_are_read_only():
+    values = pass_indices(4, 0, 0, 0, 2000, 8)
+    with pytest.raises(ValueError):
+        values[0] = 1
+    with pytest.raises(ValueError):
+        values.reshape(2, 4)[0, 0] = 1
+    with pytest.raises(TypeError):
+        pass_uniforms(4, 0, 0)[0] = 0.5

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from test_engine_rates_rng import fresh_chunk_table
-from test_engine_threaded import recorded_substreams
+from hypothesis import given, settings, strategies as st
+from test_engine_rates_rng import fresh_chunk_table, fresh_draw_tables
+from test_engine_threaded import recorded_pass_draws
 
 from dpsgd.engine import (
     DelayModel,
@@ -14,7 +15,7 @@ from dpsgd.engine import (
     run_with_oracle,
     substream,
 )
-from dpsgd.engine import sim
+from dpsgd.engine import rng, sim
 from dpsgd.engine.rng import ROLE_DELAY, ROLE_ENV, ROLE_SAMPLE
 from dpsgd.engine.sim import run_simulated
 from dpsgd.errors import ConfigurationError, NumericFaultError, TransportError
@@ -260,16 +261,10 @@ def test_stacked_passes_match_pass_by_pass(name, problem, batch_size):
 @pytest.mark.parametrize("per_pass", [False, True])
 def test_every_pulled_pass_is_computed_once_in_pull_order(monkeypatch,
                                                           per_pass):
-    # a pull draws its pass's delay stream at once; the pass's sample
-    # streams are drawn when it is computed. Stateful oracles rely on
+    # a pull draws its pass's delay doubles at once; the pass's sample
+    # indices are drawn when it is computed. Stateful oracles rely on
     # passes being computed in pull order.
-    calls = []
-
-    def recording(seed, role, *keys):
-        calls.append((role, keys))
-        return substream(seed, role, *keys)
-
-    monkeypatch.setattr(sim, "substream", recording)
+    calls = recorded_pass_draws(monkeypatch)
     cfg = quad_config(T=40, nW=4, M=2, p=2, B=2, compute_cost_s=1e-3,
                       delay=_uniform("drop", 2))
     oracle = build_oracle(cfg.problem, cfg.seed)
@@ -279,6 +274,24 @@ def test_every_pulled_pass_is_computed_once_in_pull_order(monkeypatch,
                 ((r, k) for r, k in calls if r == ROLE_SAMPLE) if h == 0]
     assert computed == pulled
     assert len(set(pulled)) == len(pulled) > cfg.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**40), w=st.integers(0, 40) | st.integers(0, 2**33),
+       c=st.integers(0, 600) | st.integers(0, 2**33),
+       low=st.floats(0.0, 1.0), span=st.floats(0.0, 1.0),
+       jitter=st.floats(0.0, 1.0),
+       kind=st.sampled_from(["uniform", "seeded-jitter"]))
+def test_pass_delays_equal_generator_uniform_draws(seed, w, c, low, span,
+                                                   jitter, kind):
+    # the sampler scales the stream's doubles as Generator.uniform does:
+    # the transit from the first, seeded-jitter's extra time from the second
+    cfg = quad_config(seed=seed, compute_cost_s=1e-3, delay=DelayModel(
+        kind=kind, low=low, high=low + span, jitter=jitter))
+    stream = substream(seed, ROLE_DELAY, w, c)
+    transit = float(stream.uniform(low, low + span))
+    extra = float(stream.uniform(0.0, jitter)) if kind == "seeded-jitter" else 0.0
+    assert sim.pass_delays(cfg, w, c) == (extra, transit)
 
 
 class CountingOracle:
@@ -337,12 +350,27 @@ def recorded_seed_sequences(monkeypatch):
     return built
 
 
+def recorded_generators(monkeypatch):
+    """The bit generator of every Generator that substream builds."""
+    built = []
+    generator = np.random.Generator
+
+    def recording(bit_generator):
+        built.append(bit_generator)
+        return generator(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", recording)
+    return built
+
+
 def test_pass_stream_key_budget(monkeypatch):
     # the benchmark's sim-sigmoid shape, long enough to cross chunks:
     # counts only, never time
     built = recorded_seed_sequences(monkeypatch)
+    generators = recorded_generators(monkeypatch)
     derived = fresh_chunk_table(monkeypatch)
-    calls = recorded_substreams(monkeypatch)
+    tables = fresh_draw_tables(monkeypatch)
+    calls = recorded_pass_draws(monkeypatch)
     cfg = RunConfig(
         T=600, M=2, nW=4, p=2, B=2, eta=0.05,
         rho_schedule={"kind": "constant", "value": 0.5},
@@ -356,13 +384,22 @@ def test_pass_stream_key_budget(monkeypatch):
     )
     run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
     assert not [e for e in built if e[1] in (ROLE_SAMPLE, ROLE_DELAY)]
+    # no sample or delay stream builds a generator: every pass reads
+    # its draw table (a key-table stream would carry a _KeySeed)
+    assert not [g for g in generators
+                if isinstance(g.seed_seq, rng._KeySeed)
+                or g.seed_seq.entropy[1] in (ROLE_SAMPLE, ROLE_DELAY)]
     passes = {}
     for role, (*prefix, c) in calls:
         passes.setdefault((cfg.seed, role, *prefix), set()).add(c)
     assert all(c == set(range(len(c))) for c in passes.values())
     assert max(len(c) for c in passes.values()) > 256
-    assert len(derived) == sum(math.ceil(len(c) / 256) for c in passes.values())
+    chunks = {prefix: math.ceil(len(c) / 256) for prefix, c in passes.items()}
+    assert len(derived) == sum(chunks.values())
     assert {prefix for prefix, _ in derived} == set(passes)
+    # exactly one draw table per prefix and chunk
+    assert sorted(tables) == sorted(
+        (prefix, chunk) for prefix, n in chunks.items() for chunk in range(n))
 
 
 def test_episode_streams_stay_off_the_key_table(monkeypatch):
@@ -370,6 +407,7 @@ def test_episode_streams_stay_off_the_key_table(monkeypatch):
     # would cost far more than the SeedSequence it saves
     built = recorded_seed_sequences(monkeypatch)
     derived = fresh_chunk_table(monkeypatch)
+    fresh_draw_tables(monkeypatch)  # so the engine's tables derive keys
     env = ToyEnv(side=3)
     cfg = hsa2c_config(env, m=1, T=4, seed=5)
     run_hsa2c(cfg, env)

@@ -13,7 +13,7 @@ import pytest
 
 from dpsgd.engine import DelayModel, ProblemSpec, RunConfig, build_oracle, run_with_oracle
 from dpsgd.engine import sim, threaded
-from dpsgd.engine.rng import ROLE_DELAY, ROLE_SAMPLE, substream
+from dpsgd.engine.rng import ROLE_DELAY, ROLE_SAMPLE, pass_indices, pass_uniforms
 from dpsgd.engine.threaded import InprocHub, LocalThreads
 from dpsgd.core import UpdateVector
 from dpsgd.errors import ConfigurationError, TransportError
@@ -96,16 +96,23 @@ def test_threaded_rejects_simulated_only_settings_before_starting(
     assert threading.active_count() == before, threading.enumerate()
 
 
-def recorded_substreams(monkeypatch):
-    """Every substream call of the sampler and of the workers' passes."""
+def recorded_pass_draws(monkeypatch):
+    """Every per-pass draw of the sampler and of the workers' passes, as
+    the (role, keys) of the stream it reads: (ROLE_SAMPLE, (w, h, pass))
+    or (ROLE_DELAY, (w, pass))."""
     calls = []
 
-    def recording(seed, role, *keys):
-        calls.append((role, keys))  # list.append is atomic across threads
-        return substream(seed, role, *keys)
+    def indices(seed, w, h, pass_idx, n, count):
+        calls.append((ROLE_SAMPLE, (w, h, pass_idx)))  # atomic across threads
+        return pass_indices(seed, w, h, pass_idx, n, count)
 
-    monkeypatch.setattr(sim, "substream", recording)
-    monkeypatch.setattr(threaded, "substream", recording)
+    def uniforms(seed, w, pass_idx):
+        calls.append((ROLE_DELAY, (w, pass_idx)))
+        return pass_uniforms(seed, w, pass_idx)
+
+    monkeypatch.setattr(sim, "pass_indices", indices)
+    monkeypatch.setattr(sim, "pass_uniforms", uniforms)
+    monkeypatch.setattr(threaded, "pass_indices", indices)
     return calls
 
 
@@ -123,7 +130,7 @@ def assert_one_delay_draw_per_pass(calls, nW):
 
 
 def test_threaded_draws_each_passes_delay_once(monkeypatch):
-    calls = recorded_substreams(monkeypatch)
+    calls = recorded_pass_draws(monkeypatch)
     cfg = threaded_config(T=20, delay=DelayModel(kind="uniform", high=2e-3))
     res = run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
     passes = assert_one_delay_draw_per_pass(calls, cfg.nW)
@@ -278,6 +285,48 @@ def test_threaded_run_leaves_no_thread_behind(p, fail):
     else:
         run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
     assert threading.active_count() == before, threading.enumerate()
+
+
+def stuck_worker(monkeypatch, module, name):
+    """Patch module.name, the body of a run's worker thread, so that
+    thread "worker1" blocks once the real body returns, until the
+    returned event is set; runs wait 0.2 s for their workers to stop."""
+    release = threading.Event()
+    body = getattr(module, name)
+
+    def stuck(*args, **kwargs):
+        try:
+            return body(*args, **kwargs)
+        finally:
+            if threading.current_thread().name == "worker1":
+                release.wait(timeout=60)
+
+    monkeypatch.setattr(module, name, stuck)
+    monkeypatch.setattr(threaded, "_JOIN_TIMEOUT_S", 0.2)
+    return release
+
+
+def assert_run_names_its_stuck_worker(run, release):
+    before = threading.active_count()
+    try:
+        with pytest.raises(TransportError,
+                           match=r"still running 0.2 s .*: worker1$"):
+            run()
+    finally:
+        release.set()
+    for th in threading.enumerate():
+        if th.name == "worker1":
+            th.join(timeout=10)
+            assert not th.is_alive()
+    assert threading.active_count() == before, threading.enumerate()
+
+
+def test_threaded_run_names_a_worker_that_does_not_stop(monkeypatch):
+    release = stuck_worker(monkeypatch, threaded, "worker_loop")
+    cfg = threaded_config(T=6)
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    assert_run_names_its_stuck_worker(
+        lambda: run_with_oracle(cfg, oracle), release)
 
 
 def test_hub_starvation_raises():

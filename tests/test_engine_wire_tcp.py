@@ -8,7 +8,9 @@ import pytest
 from test_engine_threaded import (
     SIMULATED_ONLY,
     assert_one_delay_draw_per_pass,
-    recorded_substreams,
+    assert_run_names_its_stuck_worker,
+    recorded_pass_draws,
+    stuck_worker,
 )
 
 from dpsgd.engine import (
@@ -175,11 +177,18 @@ def test_tcp_rejects_simulated_only_settings_before_binding(monkeypatch,
 
 
 def test_tcp_draws_each_passes_delay_once(monkeypatch):
-    calls = recorded_substreams(monkeypatch)
+    calls = recorded_pass_draws(monkeypatch)
     cfg = tcp_config(T=20, M=2, delay=DelayModel(kind="uniform", high=2e-3))
     res = run_tcp(cfg, build_oracle(cfg.problem, cfg.seed))
     passes = assert_one_delay_draw_per_pass(calls, cfg.nW)
     assert res.counters.pushes_received <= passes
+
+
+def test_tcp_run_names_a_worker_that_does_not_stop(monkeypatch):
+    release = stuck_worker(monkeypatch, tcp, "run_tcp_worker")
+    cfg = tcp_config(T=6)
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    assert_run_names_its_stuck_worker(lambda: run_tcp(cfg, oracle), release)
 
 
 def _client(server):
