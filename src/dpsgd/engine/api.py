@@ -18,12 +18,8 @@ def derive_data_seed(run_seed: int) -> int:
 
 def build_oracle(spec: ProblemSpec, run_seed: int):
     seed = spec.data_seed if spec.data_seed is not None else derive_data_seed(run_seed)
-    kwargs = dict(spec.params)
-    kwargs["n"] = spec.n
-    kwargs["seed"] = seed
-    if spec.name != "matrix_factorization":
-        kwargs["dim"] = spec.dim
-    return problems.make_oracle(spec.name, **kwargs)
+    return problems.make_oracle(spec.name, **dict(
+        spec.params, n=spec.n, seed=seed, dim=spec.dim))
 
 
 def initial_model(oracle) -> np.ndarray:

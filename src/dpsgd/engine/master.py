@@ -155,6 +155,7 @@ class Mailbox:
         self._pending: list[tuple[float, int, UpdateVector]] = []
         self._seq = 0
         self.pulls_served = 0
+        self.malformed_frames = 0  # frames a TCP server refused
 
     def pull(self, worker_id: int | None = None) -> Published:
         """The published triple, counted in pulls_served."""

@@ -5,25 +5,20 @@ so worker w / thread h / pass c draws the same numbers no matter how the
 runtime schedules it, and a straight-line reference loop can reproduce an
 engine trajectory by constructing the identical streams.
 
-A stream's key is numpy's ``SeedSequence`` hash of the entropy words
-``[seed mod 2**32, role, *keys]``, bit for bit: ``substream(...)`` has the
-same state as ``Philox(SeedSequence(words))``. The per-pass roles,
-ROLE_SAMPLE ``[seed, role, w, h, pass]`` and ROLE_DELAY
-``[seed, role, w, pass]``, count their last key 0, 1, 2, ...: their Philox
-keys are hashed with numpy arrays for 256 consecutive passes at once, and
-kept in a bounded LRU table of such chunks (at most 16 MiB). Every other
-stream, and any word outside ``[0, 2**32)``, goes through numpy's
-``SeedSequence`` unchanged; an environment stream's key is a random
-episode index, so a chunk would serve one stream.
+substream(seed, role, *keys) is
+``Generator(Philox(SeedSequence([seed mod 2**32, role, *keys])))``.
 
-The engine draws nothing from a per-pass stream but its first few words,
-so it builds no generator for them. Philox is counter-based, and numpy's
-bounded integers are Lemire's elementwise method, so pass_indices and
-pass_uniforms run Philox4x64-10 on uint64 arrays over a chunk's keys and
-keep each chunk's draws as a read-only table in a bounded LRU: at most
-512 index tables of at most 256 x 32 int64 (32 MiB), and 512 delay
-tables of 256 pairs of Python floats (28 KiB each, 14 MiB). A table costs
-about 0.6 ms to build, 2-3 us a pass. The values are bitwise those of
+The engine draws nothing from a per-pass stream, ROLE_SAMPLE
+``[seed, role, w, h, pass]`` or ROLE_DELAY ``[seed, role, w, pass]``,
+but its first few words, so it builds no generator for them. Philox is
+counter-based, and numpy's bounded integers are Lemire's elementwise
+method, so pass_indices and pass_uniforms hash the Philox keys of 256
+consecutive passes at once with numpy arrays, run Philox4x64-10 on
+uint64 arrays over them, and keep each chunk's draws as a read-only
+table in a bounded LRU: at most 512 index tables of at most 256 x 32
+int64 (32 MiB), and 512 delay tables of 256 pairs of Python floats
+(28 KiB each, 14 MiB). A table costs about 0.6 ms to build, 2-3 us a
+pass. The values are bitwise those of
 ``substream(...).integers(0, n, size=count)`` and of two
 ``Generator.random()`` calls. A pass falls back to ``substream`` when
 numpy would draw differently or the table cannot hold it: a Lemire
@@ -41,7 +36,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # role tags keep unrelated sampling sites out of each other's streams
 ROLE_SAMPLE = 1   # component index draws in local SGD steps
@@ -60,9 +54,7 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _POOL_SIZE = 4
 
-# per-pass roles: the last key counts passes 0, 1, 2, ...
-_TABLE_ROLES = (ROLE_SAMPLE, ROLE_DELAY)
-_CHUNK = 256
+_CHUNK = 256  # passes per draw table
 
 
 def _hashmix(value, hash_const: int):
@@ -118,41 +110,17 @@ def _generate_state(pool: list, n_words: int, dtype=np.uint32) -> np.ndarray:
     return np.array(state, dtype=out_dtype.type)
 
 
-@lru_cache(maxsize=4096)
 def _chunk_keys(prefix: tuple[int, ...], chunk: int) -> np.ndarray:
     """Philox keys, (CHUNK, 2) uint64, of entropy [*prefix, c] for the
     CHUNK consecutive c from chunk * CHUNK."""
     last = np.arange(chunk * _CHUNK, (chunk + 1) * _CHUNK, dtype=np.uint64)
-    keys = _generate_state(_mixed_pool([*prefix, last]), 2, np.uint64).T.copy()
-    keys.setflags(write=False)
-    return keys
-
-
-class _KeySeed(ISeedSequence):
-    """A Philox seed whose key is already derived: Philox asks for nothing
-    but generate_state(2, np.uint64)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("holds a Philox key: 2 uint64 words only")
-        return self.key
+    return _generate_state(_mixed_pool([*prefix, last]), 2, np.uint64).T
 
 
 def substream(seed: int, role: int, *keys: int) -> np.random.Generator:
     entropy = [int(seed) & _MASK32, int(role)] + [int(k) for k in keys]
-    if (entropy[1] in _TABLE_ROLES and keys
-            and min(entropy[2:]) >= 0 and max(entropy[2:]) <= _MASK32):
-        last = entropy.pop()
-        seed_seq = _KeySeed(
-            _chunk_keys(tuple(entropy), last // _CHUNK)[last % _CHUNK])
-    else:
-        seed_seq = np.random.SeedSequence(entropy)
-    return np.random.Generator(np.random.Philox(seed_seq))
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def draw_indices(rng: np.random.Generator, n: int, size: int = 1):

@@ -31,7 +31,7 @@ from .config import RunConfig
 from .master import Mailbox, serve_master
 from .result import RunResult
 from .sim import pass_delays
-from .threaded import check_joined, join_workers, worker_loop
+from .threaded import run_workers, worker_loop
 from . import wire
 
 _POLL_S = 0.05
@@ -91,7 +91,6 @@ class TcpMasterServer(Mailbox):
         self._conns: list[socket.socket] = []
         self._host = host
         self._port = port
-        self.malformed_frames = 0
 
     @property
     def address(self) -> tuple[str, int]:
@@ -260,8 +259,7 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
 
 def run_tcp_master(cfg: RunConfig, oracle, init,
                    host: str = "127.0.0.1", port: int = 0,
-                   server: TcpMasterServer | None = None,
-                   abort_check=None) -> RunResult:
+                   server: TcpMasterServer | None = None) -> RunResult:
     """Serve a full run over TCP; workers connect from elsewhere."""
     init = np.asarray(init, dtype=float)
     own_server = server is None
@@ -270,7 +268,7 @@ def run_tcp_master(cfg: RunConfig, oracle, init,
         server.start()
     start = time.monotonic()
     try:
-        master = serve_master(cfg, oracle, init, server, abort_check)
+        master = serve_master(cfg, oracle, init, server)
     finally:
         server.broadcast_stop()
         if own_server:
@@ -288,34 +286,8 @@ def run_tcp(cfg: RunConfig, oracle, init=None,
     init = np.zeros(oracle.dim) if init is None else np.asarray(init, float)
     server = TcpMasterServer(cfg, init, host=host, port=port)
     server.start()
-    errors: list[BaseException] = []
 
-    def worker_body(w: int) -> None:
-        try:
-            run_tcp_worker(cfg, oracle, server.address, w)
-        except BaseException as exc:
-            errors.append(exc)
+    def work(w: int) -> None:
+        run_tcp_worker(cfg, oracle, server.address, w)
 
-    def abort_check():
-        if errors:
-            raise TransportError(f"worker failed: {errors[0]!r}") from errors[0]
-
-    workers = [
-        threading.Thread(target=worker_body, args=(w,), name=f"worker{w}")
-        for w in range(cfg.nW)
-    ]
-    for th in workers:
-        th.start()
-    try:
-        result = run_tcp_master(cfg, oracle, init, server=server,
-                                abort_check=abort_check)
-    finally:
-        server.broadcast_stop()
-        join_workers(workers)
-        server.close()
-    check_joined(workers)
-    # worker errors mid-run abort the master via abort_check; errors raised
-    # by stragglers after the run completed are not failures
-    result.counters.pulls_served = server.pulls_served
-    result.counters.malformed_frames = server.malformed_frames
-    return result
+    return run_workers(cfg, oracle, init, server, work, "tcp")

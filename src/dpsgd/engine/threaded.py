@@ -10,7 +10,8 @@ immutable (version, vector, stop) triple swapped whole, so pulls never
 block applies. A push's transit delays only its delivery: the hub holds
 it until it is due, and the worker starts its next pass at once. The
 simulated-only settings, enforce="block" and seeded-jitter delays, are
-rejected before any thread starts.
+rejected before any thread starts. run_workers drives this runtime and
+the TCP one: both only build their mailbox and their worker body.
 """
 from __future__ import annotations
 
@@ -207,22 +208,22 @@ def check_joined(workers: list[threading.Thread]) -> None:
         )
 
 
-def run_threaded(cfg: RunConfig, oracle, init) -> RunResult:
-    init = np.asarray(init, dtype=float)
-    hub = InprocHub(cfg, init)
-    traces: list[TraceBundle] | None = [] if cfg.trace_overwrites else None
+def run_workers(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
+                work, mode: str, traces=None) -> RunResult:
+    """Serve a run on mailbox here while threads worker0 .. worker<nW-1>
+    run work(w); the driver of both real runtimes.
+
+    Workers start inside the try, so a failed start still stops, joins
+    and closes what had started. Once the master is done, or has failed,
+    the mailbox broadcasts stop, the started workers are joined and the
+    mailbox is closed. Then the first worker error fails the run, even
+    one raised after the last apply, and so does a worker still alive.
+    """
     errors: list[BaseException] = []
 
     def worker(w: int) -> None:
-        def pull():
-            pub = hub.pull(w)
-            return None if pub.stop else pub
-
-        def push(update, pass_idx: int) -> None:
-            hub.push(update, pass_delays(cfg, w, pass_idx)[1])
-
         try:
-            worker_loop(cfg, oracle, w, pull, push, traces)
+            work(w)
         except BaseException as exc:  # surfaced by the master
             errors.append(exc)
 
@@ -230,17 +231,38 @@ def run_threaded(cfg: RunConfig, oracle, init) -> RunResult:
         if errors:
             raise TransportError(f"worker failed: {errors[0]!r}") from errors[0]
 
-    workers = [threading.Thread(target=worker, args=(w,), name=f"worker{w}")
-               for w in range(cfg.nW)]
+    workers: list[threading.Thread] = []
     start = time.monotonic()
-    for th in workers:
-        th.start()
     try:
-        master = serve_master(cfg, oracle, init, hub, abort_check)
+        for w in range(cfg.nW):
+            th = threading.Thread(target=worker, args=(w,), name=f"worker{w}")
+            th.start()
+            workers.append(th)
+        master = serve_master(cfg, oracle, init, mailbox, abort_check)
     finally:
-        hub.broadcast_stop()
+        mailbox.broadcast_stop()
         join_workers(workers)
+        mailbox.close()
     abort_check()
     check_joined(workers)
-    master.counters.pulls_served = hub.pulls_served
-    return master.result("threaded", time.monotonic() - start, traces)
+    master.counters.pulls_served = mailbox.pulls_served
+    master.counters.malformed_frames = mailbox.malformed_frames
+    return master.result(mode, time.monotonic() - start, traces)
+
+
+def run_threaded(cfg: RunConfig, oracle, init) -> RunResult:
+    init = np.asarray(init, dtype=float)
+    hub = InprocHub(cfg, init)
+    traces: list[TraceBundle] | None = [] if cfg.trace_overwrites else None
+
+    def work(w: int) -> None:
+        def pull():
+            pub = hub.pull(w)
+            return None if pub.stop else pub
+
+        def push(update, pass_idx: int) -> None:
+            hub.push(update, pass_delays(cfg, w, pass_idx)[1])
+
+        worker_loop(cfg, oracle, w, pull, push, traces)
+
+    return run_workers(cfg, oracle, init, hub, work, "threaded", traces)

@@ -9,14 +9,13 @@ An oracle may also offer grad_stack(idx[K, size], X[K, dim]) -> G[K, dim],
 K independent batch gradients in one call: row k must be bitwise equal to
 grad_at(idx[k], X[k]). The simulated engine uses it, when present, to step
 every pass that starts from one model version together. The quadratic and
-sigmoid oracles have it; the others, like user oracles, need not.
+sigmoid oracles have it; the LDA and gridworld oracles, like user
+oracles, need not.
 
 Declared smoothness and gradient-norm bounds (L, V_bound) hold on the
 declared feasible box and are deliberately conservative.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,82 +170,9 @@ class SigmoidOracle:
         return float((1.0 / (1.0 + np.exp(z))).mean())
 
 
-class MatrixFactorizationOracle:
-    """Low-rank recovery on observed entries of a noisy rank-r matrix.
-
-    Parameters are the stacked row and column factors; component s with
-    observation (i, j, m) has f_s = 0.5 * (<u_i, v_j> - m)^2. Non-convex
-    with saddle structure; bounds hold on the declared box.
-    """
-
-    name = "matrix_factorization"
-
-    def __init__(
-        self,
-        n: int,
-        seed: int,
-        rows: int = 8,
-        cols: int = 8,
-        rank: int = 2,
-        noise: float = 0.01,
-        box_radius: float = 2.0,
-    ):
-        if n < 1 or rows < 1 or cols < 1 or rank < 1:
-            raise ConfigurationError("matrix factorization oracle: bad shape")
-        rng = np.random.default_rng(seed)
-        self.rows, self.cols, self.rank = rows, cols, rank
-        self.n = n
-        self.dim = (rows + cols) * rank
-        u_true = rng.normal(size=(rows, rank)) / np.sqrt(rank)
-        v_true = rng.normal(size=(cols, rank)) / np.sqrt(rank)
-        full = u_true @ v_true.T + noise * rng.normal(size=(rows, cols))
-        flat = rng.choice(rows * cols, size=n, replace=n > rows * cols)
-        self.obs_i = flat // cols
-        self.obs_j = flat % cols
-        self.obs_m = full[self.obs_i, self.obs_j]
-        self.box = (-box_radius, box_radius)
-        R = box_radius
-        m_max = float(np.abs(self.obs_m).max())
-        # Hessian blocks are bounded by factor norms and residuals on the
-        # box: ||H|| <= 3 r R^2 + (r R^2 + m_max)
-        self.L = float(4.0 * rank * R * R + m_max)
-        self.V_bound = float(
-            (rank * R * R + m_max) * 2.0 * np.sqrt(rank) * R
-        )
-
-    def _split(self, x):
-        x = np.asarray(x, dtype=float)
-        u = x[: self.rows * self.rank].reshape(self.rows, self.rank)
-        v = x[self.rows * self.rank :].reshape(self.cols, self.rank)
-        return u, v
-
-    def grad_at(self, i, x) -> np.ndarray:
-        idx = _check_index(i, self.n)
-        u, v = self._split(x)
-        gu = np.zeros_like(u)
-        gv = np.zeros_like(v)
-        for s in idx:
-            r, c = self.obs_i[s], self.obs_j[s]
-            resid = float(u[r] @ v[c]) - self.obs_m[s]
-            gu[r] += resid * v[c]
-            gv[c] += resid * u[r]
-        scale = 1.0 / idx.size
-        return np.concatenate([gu.ravel(), gv.ravel()]) * scale
-
-    def full_grad(self, x) -> np.ndarray:
-        return self.grad_at(np.arange(self.n), x)
-
-    def loss_at(self, x) -> float:
-        u, v = self._split(x)
-        pred = (u[self.obs_i] * v[self.obs_j]).sum(axis=1)
-        resid = pred - self.obs_m
-        return float(0.5 * (resid * resid).mean())
-
-
 _REGISTRY = {
     "quadratic": QuadraticOracle,
     "sigmoid": SigmoidOracle,
-    "matrix_factorization": MatrixFactorizationOracle,
 }
 
 

@@ -167,20 +167,6 @@ def test_seed_state_rejects_other_dtypes_like_numpy():
                 _generate_state(_mixed_pool(words), 2, dtype)
 
 
-def fresh_chunk_table(monkeypatch):
-    """An empty key table for substream; returns the (prefix, chunk) list
-    of its derivations."""
-    derived = []
-    derive = rng._chunk_keys.__wrapped__
-
-    def recording(prefix, chunk):
-        derived.append((prefix, chunk))  # list.append is atomic across threads
-        return derive(prefix, chunk)
-
-    monkeypatch.setattr(rng, "_chunk_keys", lru_cache(maxsize=4096)(recording))
-    return derived
-
-
 def fresh_draw_tables(monkeypatch):
     """Empty draw tables for pass_indices and pass_uniforms; returns the
     (prefix, chunk) list of the tables they build."""
@@ -217,20 +203,9 @@ def test_pass_streams_match_numpy_seed_sequence(seed, w, h, c):
     _assert_pass_streams_match_numpy(seed, w, h, c)
 
 
-def test_pass_stream_seed_holds_only_its_philox_key():
-    seed_seq = substream(3, ROLE_SAMPLE, 1, 0, 9).bit_generator.seed_seq
-    assert np.array_equal(seed_seq.generate_state(2, np.uint64),
-                          np.random.SeedSequence([3, ROLE_SAMPLE, 1, 0, 9])
-                          .generate_state(2, np.uint64))
-    for n_words, dtype in ((4, np.uint32), (3, np.uint64), (2, np.uint32)):
-        with pytest.raises(ValueError):
-            seed_seq.generate_state(n_words, dtype)
-
-
 def test_concurrent_pass_streams_across_a_chunk_boundary(monkeypatch):
     # the threaded runtime's local threads call substream, and draw from
     # the tables, at once
-    derived = fresh_chunk_table(monkeypatch)
     tables = fresh_draw_tables(monkeypatch)
     key_of = lambda gen: gen.bit_generator.state["state"]["key"]
     passes = list(range(200, 312))
@@ -267,7 +242,6 @@ def test_concurrent_pass_streams_across_a_chunk_boundary(monkeypatch):
             assert np.array_equal(key, want_key)
             assert np.array_equal(indices, want_indices)
             assert uniforms == want_uniforms
-    assert {chunk for _, chunk in derived} == {0, 1}
     assert {chunk for _, chunk in tables} == {0, 1}
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_engine_rates_rng import fresh_chunk_table, fresh_draw_tables
+from test_engine_rates_rng import fresh_draw_tables
 from test_engine_threaded import recorded_pass_draws
 
 from dpsgd.engine import (
@@ -15,7 +15,7 @@ from dpsgd.engine import (
     run_with_oracle,
     substream,
 )
-from dpsgd.engine import rng, sim
+from dpsgd.engine import sim
 from dpsgd.engine.rng import ROLE_DELAY, ROLE_ENV, ROLE_SAMPLE
 from dpsgd.engine.sim import run_simulated
 from dpsgd.errors import ConfigurationError, NumericFaultError, TransportError
@@ -368,7 +368,6 @@ def test_pass_stream_key_budget(monkeypatch):
     # counts only, never time
     built = recorded_seed_sequences(monkeypatch)
     generators = recorded_generators(monkeypatch)
-    derived = fresh_chunk_table(monkeypatch)
     tables = fresh_draw_tables(monkeypatch)
     calls = recorded_pass_draws(monkeypatch)
     cfg = RunConfig(
@@ -385,18 +384,15 @@ def test_pass_stream_key_budget(monkeypatch):
     run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
     assert not [e for e in built if e[1] in (ROLE_SAMPLE, ROLE_DELAY)]
     # no sample or delay stream builds a generator: every pass reads
-    # its draw table (a key-table stream would carry a _KeySeed)
+    # its draw table
     assert not [g for g in generators
-                if isinstance(g.seed_seq, rng._KeySeed)
-                or g.seed_seq.entropy[1] in (ROLE_SAMPLE, ROLE_DELAY)]
+                if g.seed_seq.entropy[1] in (ROLE_SAMPLE, ROLE_DELAY)]
     passes = {}
     for role, (*prefix, c) in calls:
         passes.setdefault((cfg.seed, role, *prefix), set()).add(c)
     assert all(c == set(range(len(c))) for c in passes.values())
     assert max(len(c) for c in passes.values()) > 256
     chunks = {prefix: math.ceil(len(c) / 256) for prefix, c in passes.items()}
-    assert len(derived) == sum(chunks.values())
-    assert {prefix for prefix, _ in derived} == set(passes)
     # exactly one draw table per prefix and chunk
     assert sorted(tables) == sorted(
         (prefix, chunk) for prefix, n in chunks.items() for chunk in range(n))
@@ -406,14 +402,13 @@ def test_episode_streams_stay_off_the_key_table(monkeypatch):
     # an episode index is random in [0, 2**31): one chunk per episode
     # would cost far more than the SeedSequence it saves
     built = recorded_seed_sequences(monkeypatch)
-    derived = fresh_chunk_table(monkeypatch)
-    fresh_draw_tables(monkeypatch)  # so the engine's tables derive keys
+    tables = fresh_draw_tables(monkeypatch)
     env = ToyEnv(side=3)
     cfg = hsa2c_config(env, m=1, T=4, seed=5)
     run_hsa2c(cfg, env)
     assert sum(e[1] == ROLE_ENV for e in built) >= cfg.T
-    assert {prefix[1] for prefix, _ in derived} == {ROLE_SAMPLE}
-    assert all(chunk == 0 for _, chunk in derived)
+    assert {prefix[1] for prefix, _ in tables} == {ROLE_SAMPLE}
+    assert all(chunk == 0 for _, chunk in tables)
 
 
 class FaultAtCall(PerPass):

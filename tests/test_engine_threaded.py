@@ -329,6 +329,50 @@ def test_threaded_run_names_a_worker_that_does_not_stop(monkeypatch):
         lambda: run_with_oracle(cfg, oracle), release)
 
 
+def refuse_to_start(monkeypatch, name):
+    """Patch Thread.start to fail for the thread called name, as it does
+    when the process runs out of threads."""
+    start = threading.Thread.start
+
+    def guarded(self):
+        if self.name == name:
+            raise RuntimeError(f"can't start new thread {name}")
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", guarded)
+
+
+def failing_after_return(monkeypatch, module, name):
+    """Patch module.name, the body of a run's worker thread, so that it
+    raises once the real body has returned: after the run's last apply."""
+    body = getattr(module, name)
+
+    def failing(*args, **kwargs):
+        body(*args, **kwargs)
+        raise RuntimeError("failed after its last pass")
+
+    monkeypatch.setattr(module, name, failing)
+
+
+def test_threaded_run_stops_its_workers_when_one_fails_to_start(monkeypatch):
+    cfg = threaded_config(T=6)
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    before = threading.active_count()
+    refuse_to_start(monkeypatch, "worker1")
+    with pytest.raises(RuntimeError, match="worker1"):
+        run_with_oracle(cfg, oracle)
+    assert threading.active_count() == before, threading.enumerate()
+
+
+def test_threaded_worker_error_after_the_last_apply_fails_the_run(
+        monkeypatch):
+    failing_after_return(monkeypatch, threaded, "worker_loop")
+    cfg = threaded_config(T=6)
+    with pytest.raises(TransportError,
+                       match="worker failed: .*after its last pass"):
+        run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
+
+
 def test_hub_starvation_raises():
     cfg = threaded_config()
     hub = InprocHub(cfg, np.zeros(4))

@@ -9,7 +9,9 @@ from test_engine_threaded import (
     SIMULATED_ONLY,
     assert_one_delay_draw_per_pass,
     assert_run_names_its_stuck_worker,
+    failing_after_return,
     recorded_pass_draws,
+    refuse_to_start,
     stuck_worker,
 )
 
@@ -189,6 +191,24 @@ def test_tcp_run_names_a_worker_that_does_not_stop(monkeypatch):
     cfg = tcp_config(T=6)
     oracle = build_oracle(cfg.problem, cfg.seed)
     assert_run_names_its_stuck_worker(lambda: run_tcp(cfg, oracle), release)
+
+
+def test_tcp_run_stops_its_threads_when_a_worker_fails_to_start(monkeypatch):
+    cfg = tcp_config(T=6)
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    before = threading.active_count()
+    refuse_to_start(monkeypatch, "worker1")
+    with pytest.raises(RuntimeError, match="worker1"):
+        run_tcp(cfg, oracle)
+    assert threading.active_count() == before, threading.enumerate()
+
+
+def test_tcp_worker_error_after_the_last_apply_fails_the_run(monkeypatch):
+    failing_after_return(monkeypatch, tcp, "run_tcp_worker")
+    cfg = tcp_config(T=6)
+    with pytest.raises(TransportError,
+                       match="worker failed: .*after its last pass"):
+        run_tcp(cfg, build_oracle(cfg.problem, cfg.seed))
 
 
 def _client(server):

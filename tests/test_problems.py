@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from dpsgd.errors import ConfigurationError
 from dpsgd.problems import (
-    MatrixFactorizationOracle,
     QuadraticOracle,
     SigmoidOracle,
     make_oracle,
@@ -14,23 +13,16 @@ from dpsgd.problems import (
 ORACLES = [
     QuadraticOracle(n=40, dim=6, seed=11),
     SigmoidOracle(n=40, dim=6, seed=12),
-    MatrixFactorizationOracle(n=40, seed=13, rows=5, cols=4, rank=2),
 ]
 
 
 def component_loss(oracle, i, x):
-    # scalar loss of one component, via a 1-element batch of the oracle's
-    # own loss pieces where available, else finite reconstruction
+    # scalar loss of one component, from the oracle's own data
     if isinstance(oracle, QuadraticOracle):
         d = np.asarray(x) - oracle.centers[i]
         return 0.5 * float(d @ d)
-    if isinstance(oracle, SigmoidOracle):
-        z = oracle.labels[i] * float(oracle.features[i] @ np.asarray(x))
-        return 1.0 / (1.0 + np.exp(z))
-    u, v = oracle._split(x)
-    r, c = oracle.obs_i[i], oracle.obs_j[i]
-    resid = float(u[r] @ v[c]) - oracle.obs_m[i]
-    return 0.5 * resid * resid
+    z = oracle.labels[i] * float(oracle.features[i] @ np.asarray(x))
+    return 1.0 / (1.0 + np.exp(z))
 
 
 def fd_grad(oracle, i, x, h=1e-5):
