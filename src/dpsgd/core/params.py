@@ -67,6 +67,13 @@ class ParamVector:
         return self.values.copy()
 
 
+def _check_base_version(base_version: int) -> None:
+    if base_version < 0:
+        raise ConfigurationError(
+            f"base_version must be >= 0, got {base_version}"
+        )
+
+
 @dataclass(frozen=True)
 class UpdateVector:
     """A worker's pushed delta together with its provenance.
@@ -83,10 +90,22 @@ class UpdateVector:
         arr = as_float64(self.delta).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "delta", arr)
-        if self.base_version < 0:
-            raise ConfigurationError(
-                f"base_version must be >= 0, got {self.base_version}"
-            )
+        _check_base_version(self.base_version)
+
+    @classmethod
+    def _adopt(cls, delta: np.ndarray, base_version: int,
+               worker_id: int) -> "UpdateVector":
+        """Wrap a freshly computed 1-d float64 delta without copying it.
+
+        Only for arrays nothing else writes: it is frozen in place.
+        """
+        _check_base_version(base_version)
+        delta.flags.writeable = False
+        upd = object.__new__(cls)
+        object.__setattr__(upd, "delta", delta)
+        object.__setattr__(upd, "base_version", base_version)
+        object.__setattr__(upd, "worker_id", worker_id)
+        return upd
 
     @property
     def dim(self) -> int:

@@ -297,5 +297,8 @@ def make_update_vector(
         raise ConfigurationError(
             f"base dim {base_arr.shape[0]} != slab dim {slab.dim}"
         )
-    delta = slab.read() - base_arr
-    return UpdateVector(delta=delta, base_version=base_version, worker_id=worker_id)
+    # an untraced slab is subtracted in place of a read() copy; the result
+    # is fresh either way, so the update adopts it
+    now = slab._values if not slab.traced else slab.read()
+    return UpdateVector._adopt(np.subtract(now, base_arr), base_version,
+                               worker_id)

@@ -203,6 +203,10 @@ class Mailbox:
                     wait = min(wait, self._pending[0][0] - now)
                 self._cv.wait(wait)
 
+    def drain(self, until, deadline: float) -> None:
+        """Serve the workers after stop until until() holds or deadline
+        (time.monotonic()) passes; in-process workers need no serving."""
+
     def close(self) -> None:
         """Release what the mailbox holds; an in-process one holds nothing."""
 

@@ -210,8 +210,9 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
     def apply_batch(batch: list[_Push], now: float) -> None:
         nonlocal seq
         compute_deferred()  # the last moment the model is their base
-        master.apply([UpdateVector(push.delta, push.base_version,
-                                   push.worker_id) for push in batch], now)
+        master.apply([UpdateVector._adopt(push.delta, push.base_version,
+                                          push.worker_id) for push in batch],
+                     now)
         if block:
             for push in batch:
                 unregister(push.base_version)

@@ -2,93 +2,177 @@
 
 One persistent connection per worker. The worker drives the dialogue:
 it sends PULL_REQ and gets back MODEL (or SHUTDOWN once the run is
-over), computes a local pass, then sends PUSH. The master side answers
-pulls from whatever model is currently published, so a slow worker
-never blocks an apply. The k-th push accepted on a connection gets the
-transit of that worker's pass k, and the server holds it until it is
-due, as the in-process hub does: the worker does not wait, so it sends
-its next PULL_REQ at once. The simulated-only settings, enforce="block"
-and seeded-jitter delays, are rejected before the server binds.
+over), then computes a local pass. It holds the pass's PUSH and sends it
+with its next PULL_REQ, in one send. The master side answers pulls from
+whatever model is currently published, so a slow worker never blocks an
+apply. The k-th push accepted on a connection gets the transit of that
+worker's pass k, and the server holds it until it is due, as the
+in-process hub does: the worker does not wait for it. The simulated-only
+settings, enforce="block" and seeded-jitter delays, are rejected before
+the server binds.
+
+The server starts no thread. Its listener and its connections are
+non-blocking and sit in one selector, and serve() is the one loop that
+answers them: the master's own thread runs it inside next_delivery while
+it waits for a due push, and again in the drain. Each readiness event
+takes one recv into the connection's buffer and answers every whole
+frame in it. A reply that does not fit the socket is kept, and its
+connection is polled for write only until the reply is sent, so a peer
+that does not read costs one reply of memory and half a frame never
+blocks an apply.
+
+After the last apply the server drains: it keeps serving, and answers
+every PULL_REQ with SHUTDOWN, until every worker thread has exited
+(run_tcp) or every connection has closed (run_tcp_master), for at most
+threaded._JOIN_TIMEOUT_S.
 
 A malformed frame is fatal for its connection only: the master counts
 it, closes that socket, and keeps serving the rest. So is a well-formed
 PUSH the master could not apply: a delta of the wrong dimension or with
 a non-finite value, a worker id outside [0, nW), or a base version above
-the published one. Such a push is never queued. Traces do not cross the
+the published one. Such a push is never queued. A connection that closes
+mid-frame is dropped without being counted. Traces do not cross the
 wire; use the threaded runtime to record overwrite traces.
 """
 from __future__ import annotations
 
+import heapq
+import selectors
 import socket
-import threading
 import time
 
 import numpy as np
 
 from ..core import UpdateVector
 from ..errors import TransportError, WireProtocolError
+from . import threaded
 from .config import RunConfig
-from .master import Mailbox, serve_master
+from .master import _ABORT_POLL_S, _QUEUE_TIMEOUT_S, Mailbox, serve_master
 from .result import RunResult
 from .sim import pass_delays
 from .threaded import run_workers, worker_loop
 from . import wire
 
-_POLL_S = 0.05
+_RECV_BYTES = 1 << 16
 
 
-def _recv_exact(sock: socket.socket, n: int, allow_eof: bool = False):
-    """Read exactly n bytes; None on a clean EOF before the first byte."""
-    buf = bytearray()
-    while len(buf) < n:
+class Connection:
+    """One socket and the bytes received on it not yet cut into frames.
+
+    Received chunks are kept as they came and joined only once they hold
+    the next whole header or frame: a frame that arrives in one recv is
+    never copied, and one that takes several is copied once. Decoded
+    vectors are read-only views of those bytes. The server also keeps
+    here the reply bytes not yet sent and the pushes it has accepted.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.unsent = memoryview(b"")
+        self.closing = False  # close once unsent is sent: SHUTDOWN went out
+        self.accepted = 0  # pushes queued from this connection, one per pass
+        self._buf = b""
+        self._off = 0  # bytes of _buf already framed
+        self._more: list[bytes] = []  # chunks received after _buf
+        self.pending = 0  # bytes received and not yet framed
+        self._need = wire.HEADER_SIZE  # pending bytes the next frame needs
+
+    def recv(self) -> bool:
+        """One recv into the buffer; False on EOF."""
         try:
-            chunk = sock.recv(n - len(buf))
+            data = self.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return True
         except OSError as exc:
             raise TransportError(f"socket read failed: {exc}")
-        if not chunk:
-            if allow_eof and not buf:
+        if not data:
+            return False
+        if self.pending:
+            self._more.append(data)
+        else:
+            self._buf, self._off = data, 0
+        self.pending += len(data)
+        return True
+
+    def next_frame(self):
+        """The next whole (msg_type, decoded payload), or None for now."""
+        if self.pending < self._need:
+            return None
+        if self._more:
+            self._buf = b"".join([memoryview(self._buf)[self._off:],
+                                  *self._more])
+            self._off, self._more = 0, []
+        view = memoryview(self._buf)
+        head = self._off + wire.HEADER_SIZE
+        msg_type, length = wire.split_header(view[self._off:head])
+        end = head + length
+        if end > len(self._buf):
+            self._need = end - self._off
+            return None
+        body = wire.decode_payload(msg_type, view[head:end])
+        self._off = end
+        self.pending = len(self._buf) - end
+        self._need = wire.HEADER_SIZE
+        return msg_type, body
+
+    def send_rest(self) -> None:
+        """Send what fits of the unsent reply."""
+        try:
+            sent = self.sock.send(self.unsent)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            raise TransportError(f"socket write failed: {exc}")
+        self.unsent = self.unsent[sent:]
+
+
+def read_frame(conn: Connection, allow_eof: bool = False):
+    """The next (msg_type, decoded payload) on conn; None on a clean EOF."""
+    while True:
+        got = conn.next_frame()
+        if got is not None:
+            return got
+        if not conn.recv():
+            if allow_eof and not conn.pending:
                 return None
             raise TransportError(
-                f"connection closed mid-frame ({len(buf)}/{n} bytes)"
+                f"connection closed mid-frame ({conn.pending} bytes in)"
             )
-        buf.extend(chunk)
-    return bytes(buf)
 
 
-def read_frame(sock: socket.socket, allow_eof: bool = False):
-    """One (msg_type, decoded payload) off the socket; None on clean EOF."""
-    header = _recv_exact(sock, wire.HEADER_SIZE, allow_eof=allow_eof)
-    if header is None:
-        return None
-    msg_type, length = wire.split_header(header)
-    payload = _recv_exact(sock, length) if length else b""
-    return msg_type, wire.decode_payload(msg_type, payload)
+def send_frame(sock: socket.socket, frame: bytes) -> int:
+    """Send frame; returns the bytes sent.
 
-
-def send_frame(sock: socket.socket, frame: bytes) -> None:
+    A blocking socket sends it whole. A non-blocking one (the server's)
+    sends what fits now, and the caller keeps the rest.
+    """
     try:
+        if sock.gettimeout() == 0.0:
+            return sock.send(frame)
         sock.sendall(frame)
+        return len(frame)
+    except BlockingIOError:
+        return 0
     except OSError as exc:
         raise TransportError(f"socket write failed: {exc}")
 
 
 class TcpMasterServer(Mailbox):
-    """Accepts worker connections and funnels their pushes to the master.
+    """Serves every worker connection from the thread that runs serve().
 
-    start() binds and spawns the accept thread; the owner then runs the
-    master against this mailbox and finally calls broadcast_stop() and
-    close().
+    start() binds a non-blocking listener into one selector and starts no
+    thread. The owner then runs the master against this mailbox, whose
+    next_delivery serves the sockets while it waits, and finally calls
+    broadcast_stop(), drain() and close().
     """
 
     def __init__(self, cfg: RunConfig, initial: np.ndarray,
                  host: str = "127.0.0.1", port: int = 0):
         super().__init__(cfg, initial)
         self._dim = int(initial.shape[0])
-        self._closing = False
         self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._handlers: list[threading.Thread] = []
-        self._conns: list[socket.socket] = []
+        self._selector: selectors.BaseSelector | None = None
+        self._conns: set[Connection] = set()
         self._host = host
         self._port = port
 
@@ -98,93 +182,137 @@ class TcpMasterServer(Mailbox):
             raise TransportError("server not started")
         return self._listener.getsockname()[:2]
 
+    @property
+    def connections(self) -> int:
+        """Worker connections open now."""
+        return len(self._conns)
+
     def start(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen()
-        # close() shuts the listener down, which wakes a blocked accept()
-        # on Linux; where it does not, the accept loop polls a flag
-        listener.settimeout(_POLL_S)
-        self._listener = listener
-        self._accept_thread = threading.Thread(target=self._accept_loop,
-                                               daemon=True)
-        self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except TimeoutError:
-                if self._closing:
-                    return
-                continue
-            except OSError:
-                return  # listener shut down or closed
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._cv:
-                self._conns.append(conn)
-            th = threading.Thread(target=self._serve_conn, args=(conn,),
-                                  daemon=True)
-            self._handlers.append(th)
-            th.start()
-
-    def _count_malformed(self) -> None:
-        with self._cv:
-            self.malformed_frames += 1
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        accepted = 0  # pushes queued from this connection, one per pass
         try:
-            while True:
-                try:
-                    got = read_frame(conn, allow_eof=True)
-                except WireProtocolError:
-                    self._count_malformed()
-                    return
-                except TransportError:
-                    return
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            listener.listen()
+            listener.setblocking(False)
+        except BaseException:
+            listener.close()
+            raise
+        self._listener = listener
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ)
+
+    def serve(self, until, deadline: float, abort_check=None) -> bool:
+        """Answer the sockets until until() holds or time.monotonic()
+        reaches deadline; returns whether until() held.
+
+        Each wait ends at the earliest due push, after 50 ms, or at the
+        deadline, so until() and abort_check() are called at least that
+        often.
+        """
+        while True:
+            if abort_check is not None:
+                abort_check()
+            if until():
+                return True
+            now = time.monotonic()
+            if now >= deadline:
+                return False
+            wait = min(_ABORT_POLL_S, deadline - now)
+            if self._pending:
+                wait = max(0.0, min(wait, self._pending[0][0] - now))
+            for key, events in self._selector.select(wait):
+                if key.data is None:
+                    self._accept()
+                else:
+                    self._serve_conn(key.data, events)
+
+    def _due(self) -> bool:
+        return bool(self._pending) and self._pending[0][0] <= time.monotonic()
+
+    def next_delivery(self, timeout: float = _QUEUE_TIMEOUT_S,
+                      abort_check=None) -> UpdateVector:
+        """The next due push, serving the sockets until one is due."""
+        if not self.serve(self._due, time.monotonic() + timeout, abort_check):
+            raise TransportError("master starved: no push arrived in time")
+        return heapq.heappop(self._pending)[2]
+
+    def drain(self, until, deadline: float) -> None:
+        """Serve, SHUTDOWN to every pull once stopped, until until() holds
+        or the deadline passes."""
+        self.serve(until, deadline)
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return  # the peer gave up already; the selector polls again
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = Connection(sock)
+        self._conns.add(conn)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _drop(self, conn: Connection) -> None:
+        self._conns.discard(conn)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+    def _serve_conn(self, conn: Connection, events: int) -> None:
+        """One readiness event: send the rest of conn's reply, or take one
+        recv; then answer every whole frame received, until a reply is
+        left unsent."""
+        writing = bool(conn.unsent)
+        try:
+            if writing:
+                conn.send_rest()
+            elif not conn.recv():
+                self._drop(conn)  # the worker hung up, cleanly or mid-frame
+                return
+            while not conn.unsent and not conn.closing:
+                got = conn.next_frame()
                 if got is None:
-                    return  # worker hung up cleanly
-                msg_type, body = got
-                if msg_type == wire.PULL_REQ:
-                    # encode from the snapshot, outside the lock that
-                    # publish() and every other pull take
-                    pub = self.pull()
-                    send_frame(conn, wire.encode_shutdown() if pub.stop
-                               else wire.encode_model(pub.version, pub.values))
-                    if pub.stop:
-                        return
-                elif msg_type == wire.PUSH:
-                    if not self._applicable(body):
-                        self._count_malformed()
-                        return
-                    _, transit = pass_delays(self._cfg, body.worker_id,
-                                             accepted)
-                    self.push(
-                        UpdateVector(
-                            delta=body.delta,
-                            base_version=body.base_version,
-                            worker_id=body.worker_id,
-                        ),
-                        transit,
-                    )
-                    accepted += 1
-                elif msg_type == wire.SHUTDOWN:
-                    return
-                else:  # MODEL from a worker makes no sense
-                    self._count_malformed()
-                    return
-        finally:
-            conn.close()
+                    break
+                self._answer(conn, *got)
+        except WireProtocolError:
+            self.malformed_frames += 1
+            self._drop(conn)
+            return
+        except TransportError:
+            self._drop(conn)
+            return
+        if conn.closing and not conn.unsent:
+            self._drop(conn)
+        elif writing != bool(conn.unsent):
+            self._selector.modify(
+                conn.sock,
+                selectors.EVENT_WRITE if conn.unsent else selectors.EVENT_READ,
+                conn)
+
+    def _answer(self, conn: Connection, msg_type: int, body) -> None:
+        """Act on one frame; WireProtocolError if the peer broke protocol."""
+        if msg_type == wire.PULL_REQ:
+            pub = self.pull()
+            if pub.stop:
+                frame = wire.encode_shutdown()
+                conn.closing = True
+            else:
+                frame = wire.encode_model(pub.version, pub.values)
+            sent = send_frame(conn.sock, frame)
+            conn.unsent = memoryview(frame)[sent:]
+        elif msg_type == wire.PUSH:
+            if not self._applicable(body):
+                raise WireProtocolError("push the master cannot apply")
+            _, transit = pass_delays(self._cfg, body.worker_id, conn.accepted)
+            self.push(UpdateVector._adopt(body.delta, body.base_version,
+                                          body.worker_id), transit)
+            conn.accepted += 1
+        elif msg_type == wire.SHUTDOWN:
+            conn.closing = True
+        else:  # MODEL from a worker makes no sense
+            raise WireProtocolError("MODEL frame sent to the master")
 
     def _applicable(self, push: wire.PushMessage) -> bool:
-        """Whether the master can apply push; it cannot apply a future base.
-
-        The version is read without the lock: it only grows, and an
-        honest base came from a MODEL frame encoded after publish() set
-        it, so a read here never sees less than that base.
-        """
+        """Whether the master can apply push; it cannot apply a future base."""
         return (
             push.delta.shape[0] == self._dim
             and 0 <= push.worker_id < self._cfg.nW
@@ -193,21 +321,13 @@ class TcpMasterServer(Mailbox):
         )
 
     def close(self) -> None:
-        self._closing = True
+        """Close every connection, the listener and the selector."""
+        for conn in list(self._conns):
+            self._drop(conn)
+        if self._selector is not None:
+            self._selector.close()
         if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # never listened, or the platform refuses; the poll ends it
             self._listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        with self._cv:
-            conns = list(self._conns)
-        for conn in conns:
-            conn.close()
-        for th in self._handlers:
-            th.join(timeout=5.0)
 
 
 def connect_with_retries(address: tuple[str, int], attempts: int = 40,
@@ -228,15 +348,21 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
                    worker_id: int, attempts: int = 40) -> int:
     """Pull/compute/push against a remote master until SHUTDOWN.
 
-    The worker's p - 1 local helper threads live as long as its connection
-    and are joined before it returns or raises; an error in any local
-    thread is raised from here. Returns the number of completed passes.
+    A pass's PUSH goes out in the same send as the next PULL_REQ, so a
+    pass costs one send and one buffered read. The worker's p - 1 local
+    helper threads live as long as its connection and are joined before
+    it returns or raises; an error in any local thread is raised from
+    here. Returns the number of completed passes.
     """
-    sock = connect_with_retries(address, attempts=attempts)
+    conn = Connection(connect_with_retries(address, attempts=attempts))
+    held: list[bytes] = []  # the last pass's PUSH frame
 
     def pull():
-        send_frame(sock, wire.encode_pull_req())
-        msg_type, body = read_frame(sock)
+        frame = wire.encode_pull_req()
+        if held:
+            frame = held.pop() + frame
+        send_frame(conn.sock, frame)
+        msg_type, body = read_frame(conn)
         if msg_type == wire.SHUTDOWN:
             return None
         if msg_type != wire.MODEL:
@@ -250,17 +376,21 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
         return body
 
     def push(update: UpdateVector, pass_idx: int) -> None:
-        send_frame(sock, wire.encode_push(worker_id, update.base_version,
-                                          update.delta))
+        held.append(wire.encode_push(worker_id, update.base_version,
+                                     update.delta))
 
-    with sock:
+    with conn.sock:
         return worker_loop(cfg, oracle, worker_id, pull, push)
 
 
 def run_tcp_master(cfg: RunConfig, oracle, init,
                    host: str = "127.0.0.1", port: int = 0,
                    server: TcpMasterServer | None = None) -> RunResult:
-    """Serve a full run over TCP; workers connect from elsewhere."""
+    """Serve a full run over TCP; workers connect from elsewhere.
+
+    Returns once the drain has seen every connection close, so every
+    worker has had its SHUTDOWN.
+    """
     init = np.asarray(init, dtype=float)
     own_server = server is None
     if server is None:
@@ -271,9 +401,9 @@ def run_tcp_master(cfg: RunConfig, oracle, init,
         master = serve_master(cfg, oracle, init, server)
     finally:
         server.broadcast_stop()
+        server.drain(lambda: not server.connections,
+                     time.monotonic() + threaded._JOIN_TIMEOUT_S)
         if own_server:
-            # give blocked workers one pull round-trip to see the stop flag
-            time.sleep(2 * _POLL_S)
             server.close()
     master.counters.pulls_served = server.pulls_served
     master.counters.malformed_frames = server.malformed_frames

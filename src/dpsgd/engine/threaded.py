@@ -191,9 +191,8 @@ def worker_loop(cfg: RunConfig, oracle, worker_id: int, pull, push,
             pass_idx += 1
 
 
-def join_workers(workers: list[threading.Thread]) -> None:
-    """Join a run's worker threads, waiting at most _JOIN_TIMEOUT_S in all."""
-    deadline = time.monotonic() + _JOIN_TIMEOUT_S
+def join_workers(workers: list[threading.Thread], deadline: float) -> None:
+    """Join a run's worker threads, waiting until deadline at most."""
     for th in workers:
         th.join(timeout=max(0.0, deadline - time.monotonic()))
 
@@ -215,9 +214,11 @@ def run_workers(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
 
     Workers start inside the try, so a failed start still stops, joins
     and closes what had started. Once the master is done, or has failed,
-    the mailbox broadcasts stop, the started workers are joined and the
-    mailbox is closed. Then the first worker error fails the run, even
-    one raised after the last apply, and so does a worker still alive.
+    the mailbox broadcasts stop and drains until every started worker
+    has exited; then they are joined and the mailbox is closed, all
+    within _JOIN_TIMEOUT_S. Then the first worker error fails the run,
+    even one raised after the last apply, and so does a worker still
+    alive.
     """
     errors: list[BaseException] = []
 
@@ -241,7 +242,10 @@ def run_workers(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
         master = serve_master(cfg, oracle, init, mailbox, abort_check)
     finally:
         mailbox.broadcast_stop()
-        join_workers(workers)
+        deadline = time.monotonic() + _JOIN_TIMEOUT_S
+        mailbox.drain(lambda: not any(th.is_alive() for th in workers),
+                      deadline)
+        join_workers(workers, deadline)
         mailbox.close()
     abort_check()
     check_joined(workers)

@@ -12,6 +12,8 @@ PUSH payload:   worker_id u32 | base_version u64 | dim u64 | dim float64
 
 PULL_REQ and SHUTDOWN carry empty payloads. A malformed frame raises
 WireProtocolError; the TCP layer treats that as fatal for the connection.
+A decoded vector is a view of its payload, not a copy: read-only, since
+payloads are bytes or memoryviews of bytes.
 """
 from __future__ import annotations
 
@@ -100,7 +102,7 @@ def split_header(header: bytes) -> tuple[int, int]:
     return msg_type, length
 
 
-def _decode_vector(payload: bytes, offset: int, dim: int) -> np.ndarray:
+def _decode_vector(payload, offset: int, dim: int) -> np.ndarray:
     if dim == 0:
         raise WireProtocolError("zero-dimension vector rejected")
     need = offset + 8 * dim
@@ -108,10 +110,10 @@ def _decode_vector(payload: bytes, offset: int, dim: int) -> np.ndarray:
         raise WireProtocolError(
             f"payload length {len(payload)} != {need} implied by dim {dim}"
         )
-    return np.frombuffer(payload, dtype="<f8", count=dim, offset=offset).copy()
+    return np.frombuffer(payload, dtype="<f8", count=dim, offset=offset)
 
 
-def decode_payload(msg_type: int, payload: bytes):
+def decode_payload(msg_type: int, payload):
     """Decode a payload into None, ModelMessage, or PushMessage."""
     if msg_type in (PULL_REQ, SHUTDOWN):
         if payload:

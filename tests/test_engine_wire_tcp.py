@@ -1,4 +1,6 @@
 """Framing golden bytes, malformed-frame rejection, and localhost TCP runs."""
+import contextlib
+import os
 import socket
 import threading
 import time
@@ -217,28 +219,45 @@ def _client(server):
     return sock
 
 
+@contextlib.contextmanager
+def serving(server):
+    """Run the server's one serving loop on a helper thread while the
+    block runs; the server itself starts no thread."""
+    stop = threading.Event()
+    th = threading.Thread(target=server.serve,
+                          args=(stop.is_set, time.monotonic() + 60.0))
+    th.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        th.join(timeout=5.0)
+    assert not th.is_alive()
+
+
 def test_server_counts_garbage_and_keeps_serving():
     cfg = tcp_config()
     server = TcpMasterServer(cfg, np.zeros(5))
     server.start()
     try:
-        bad = _client(server)
-        bad.sendall(b"NOTAFRAMEATALL")
-        # server drops the connection; a reset instead of clean EOF is
-        # fine since our unread trailing bytes may trigger RST
-        try:
-            assert bad.recv(1) == b""
-        except ConnectionResetError:
-            pass
-        bad.close()
+        with serving(server):
+            bad = _client(server)
+            bad.sendall(b"NOTAFRAMEATALL")
+            # server drops the connection; a reset instead of clean EOF is
+            # fine since our unread trailing bytes may trigger RST
+            try:
+                assert bad.recv(1) == b""
+            except ConnectionResetError:
+                pass
+            bad.close()
 
-        good = _client(server)
-        good.sendall(wire.encode_pull_req())
-        got = wire.decode_frame(_recv_frame(good))
-        assert got[0] == wire.MODEL
-        assert got[1].version == 0
-        good.close()
-        assert server.malformed_frames == 1
+            good = _client(server)
+            good.sendall(wire.encode_pull_req())
+            got = wire.decode_frame(_recv_frame(good))
+            assert got[0] == wire.MODEL
+            assert got[1].version == 0
+            good.close()
+            assert server.malformed_frames == 1
     finally:
         server.close()
 
@@ -248,23 +267,33 @@ def test_server_rejects_wrong_dim_push():
     server = TcpMasterServer(cfg, np.zeros(5))
     server.start()
     try:
-        sock = _client(server)
-        sock.sendall(wire.encode_push(0, 0, np.zeros(3)))
-        assert sock.recv(1) == b""
-        sock.close()
-        assert server.malformed_frames == 1
+        with serving(server):
+            sock = _client(server)
+            sock.sendall(wire.encode_push(0, 0, np.zeros(3)))
+            assert sock.recv(1) == b""
+            sock.close()
+            assert server.malformed_frames == 1
     finally:
         server.close()
 
 
-def test_close_wakes_the_accept_thread_at_once(monkeypatch):
-    # with a 10 s accept poll, only shutting the listener down can end
-    # the accept thread within close()'s 5 s join
-    monkeypatch.setattr(tcp, "_POLL_S", 10.0)
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open sockets")
+def test_start_and_close_start_no_thread_and_leave_no_socket_open():
+    threads, fds = threading.enumerate(), _open_fds()
     server = TcpMasterServer(tcp_config(), np.zeros(5))
     server.start()
+    assert threading.enumerate() == threads
+    address = server.address
     server.close()
-    assert not server._accept_thread.is_alive()
+    assert threading.enumerate() == threads
+    assert _open_fds() == fds
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=5.0).close()
 
 
 def _bad_pushes(nW):
@@ -286,17 +315,18 @@ def test_server_rejects_unapplicable_push_and_keeps_serving(case):
     server = TcpMasterServer(cfg, np.zeros(5))
     server.start()
     try:
-        bad = _client(server)
-        bad.sendall(_bad_pushes(cfg.nW)[case])
-        assert bad.recv(1) == b""
-        bad.close()
-        assert server.malformed_frames == 1
+        with serving(server):
+            bad = _client(server)
+            bad.sendall(_bad_pushes(cfg.nW)[case])
+            assert bad.recv(1) == b""
+            bad.close()
+            assert server.malformed_frames == 1
 
-        good = _client(server)
-        good.sendall(wire.encode_pull_req())
-        got = wire.decode_frame(_recv_frame(good))
-        assert got[0] == wire.MODEL and got[1].version == 0
-        good.close()
+            good = _client(server)
+            good.sendall(wire.encode_pull_req())
+            got = wire.decode_frame(_recv_frame(good))
+            assert got[0] == wire.MODEL and got[1].version == 0
+            good.close()
         with pytest.raises(TransportError, match="starved"):
             server.next_delivery(timeout=0.05)
     finally:
@@ -321,7 +351,7 @@ def test_server_queues_an_applicable_push():
 
 
 def test_pulls_see_whole_published_snapshots():
-    # the handler encodes MODEL from one published (version, values)
+    # the server encodes MODEL from one published (version, values)
     # triple, so no frame mixes one version with another's values
     dim = 2000
     server = TcpMasterServer(tcp_config(), np.zeros(dim))
@@ -344,15 +374,16 @@ def test_pulls_see_whole_published_snapshots():
 
     clients = [threading.Thread(target=client, args=(i,)) for i in range(2)]
     try:
-        for th in clients:
-            th.start()
-        for k in range(1, 201):
-            server.publish(k, np.full(dim, float(k)))
-            time.sleep(5e-4)
-        done.set()
-        for th in clients:
-            th.join(timeout=10.0)
-            assert not th.is_alive()
+        with serving(server):
+            for th in clients:
+                th.start()
+            for k in range(1, 201):
+                server.publish(k, np.full(dim, float(k)))
+                time.sleep(5e-4)
+            done.set()
+            for th in clients:
+                th.join(timeout=10.0)
+                assert not th.is_alive()
     finally:
         done.set()
         server.close()
@@ -365,16 +396,26 @@ def test_transit_delays_the_delivery_not_the_next_pull():
     cfg = tcp_config(delay=DelayModel(kind="fixed", latency=0.3))
     server = TcpMasterServer(cfg, np.zeros(5))
     server.start()
+    delivered = []
+
+    def deliver():
+        # the serving loop answers the pull while it waits for the push
+        delivered.append(server.next_delivery(timeout=5.0))
+        delivered.append(time.monotonic())
+
+    helper = threading.Thread(target=deliver)
     try:
         with _client(server) as sock:
+            helper.start()
             sent = time.monotonic()
             sock.sendall(wire.encode_push(0, 0, np.arange(5.0)))
             sock.sendall(wire.encode_pull_req())
             kind, body = wire.decode_frame(_recv_frame(sock))
             assert kind == wire.MODEL and body.version == 0
             assert time.monotonic() - sent < 0.3
-            upd = server.next_delivery(timeout=5.0)
-            assert time.monotonic() - sent >= 0.3
+            helper.join(timeout=10.0)
+            upd, at = delivered
+            assert at - sent >= 0.3
         assert (upd.worker_id, upd.base_version) == (0, 0)
     finally:
         server.close()
@@ -386,10 +427,11 @@ def test_server_answers_shutdown_after_stop():
     server.start()
     try:
         server.broadcast_stop()
-        sock = _client(server)
-        sock.sendall(wire.encode_pull_req())
-        assert _recv_frame(sock) == GOLDEN_SHUTDOWN
-        sock.close()
+        with serving(server):
+            sock = _client(server)
+            sock.sendall(wire.encode_pull_req())
+            assert _recv_frame(sock) == GOLDEN_SHUTDOWN
+            sock.close()
     finally:
         server.close()
 
@@ -418,3 +460,130 @@ def _recv_frame(sock) -> bytes:
         assert chunk, "connection closed mid-payload"
         payload += chunk
     return header + payload
+
+
+def test_remote_workers_return_their_passes_at_the_end_of_a_listen_run():
+    # a --listen run: the master serves a server it was given, and the
+    # workers are still computing when the last apply lands
+    cfg = tcp_config(T=4, B=1, compute_cost_s=0.3)
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    init = np.zeros(oracle.dim)
+    server = TcpMasterServer(cfg, init)
+    server.start()
+    passes, errors = {}, []
+
+    def work(w):
+        try:
+            passes[w] = tcp.run_tcp_worker(cfg, oracle, server.address, w)
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=(w,))
+               for w in range(cfg.nW)]
+    try:
+        for th in workers:
+            th.start()
+        res = tcp.run_tcp_master(cfg, oracle, init, server=server)
+    finally:
+        server.close()
+        for th in workers:
+            th.join(timeout=30.0)
+    assert errors == []
+    assert sorted(passes) == list(range(cfg.nW))
+    assert res.version == cfg.T
+    assert res.counters.pushes_received <= sum(passes.values())
+
+
+def test_a_stalled_peer_costs_only_its_own_connection():
+    cfg = tcp_config(nW=2)
+    server = TcpMasterServer(cfg, np.zeros(5))
+    server.start()
+    try:
+        frame = wire.encode_push(0, 0, np.arange(5.0))
+        half = wire.HEADER_SIZE + (len(frame) - wire.HEADER_SIZE) // 2
+        stalled = _client(server)
+        stalled.sendall(frame[:half])
+        with _client(server) as good:
+            good.sendall(wire.encode_push(1, 0, np.arange(5.0)))
+            upd = server.next_delivery(timeout=1.0)
+        assert (upd.worker_id, upd.base_version) == (1, 0)
+        assert np.array_equal(upd.delta, np.arange(5.0))
+        before = server.malformed_frames
+        stalled.close()
+        assert server.serve(lambda: server.connections == 0,
+                            time.monotonic() + 5.0)
+        assert server.malformed_frames == before
+    finally:
+        server.close()
+
+
+def test_a_peer_that_does_not_read_holds_one_reply_and_no_apply():
+    # 500 replies of 0.8 MB would take 400 MB of socket buffers, so the
+    # server is left with an unsent reply long before it answers them all
+    dim, pulls = 100_000, 500
+    server = TcpMasterServer(tcp_config(nW=2), np.zeros(dim))
+    server.start()
+    try:
+        with _client(server) as deaf, _client(server) as good:
+            deaf.sendall(wire.encode_pull_req() * pulls)
+            good.sendall(wire.encode_push(1, 0, np.ones(dim)))
+            upd = server.next_delivery(timeout=5.0)
+            assert upd.worker_id == 1 and np.array_equal(upd.delta,
+                                                          np.ones(dim))
+            assert 0 < server.pulls_served < pulls
+        assert server.serve(lambda: server.connections == 0,
+                            time.monotonic() + 5.0)
+        assert server.malformed_frames == 0
+    finally:
+        server.close()
+
+
+class ThreadRecordingOracle:
+    """Records every thread alive while a gradient is taken."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.threads = set()
+        self.grad_at_by_thread = {}
+
+    def grad_at(self, i, x):
+        self.threads.update(threading.enumerate())
+        name = threading.current_thread().name
+        self.grad_at_by_thread[name] = self.grad_at_by_thread.get(name, 0) + 1
+        return self._oracle.grad_at(i, x)
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+
+def test_tcp_send_and_thread_budget(monkeypatch):
+    # counts only, never time; recorded on Python 3.11.7, numpy 2.4.6
+    sends = []
+    send_frame = tcp.send_frame
+
+    def counting(sock, frame):
+        sends.append(threading.current_thread().name)  # atomic
+        return send_frame(sock, frame)
+
+    monkeypatch.setattr(tcp, "send_frame", counting)
+    cfg = tcp_config(T=20, M=2, p=2)
+    oracle = ThreadRecordingOracle(build_oracle(cfg.problem, cfg.seed))
+    before = set(threading.enumerate())
+    caller = threading.current_thread().name
+    res = run_tcp(cfg, oracle)
+    assert res.version == cfg.T
+    run_threads = {th.name for th in oracle.threads - before}
+    assert run_threads <= {f"worker{w}{local}" for w in range(cfg.nW)
+                           for local in ("", "-local-h1")}
+    steps = cfg.p * cfg.B
+    for w in range(cfg.nW):
+        grads = sum(n for name, n in oracle.grad_at_by_thread.items()
+                    if name.split("-")[0] == f"worker{w}")
+        assert grads % steps == 0
+        # one send per pass (its PUSH rides with the next PULL_REQ), plus
+        # the final pull that gets SHUTDOWN
+        assert sends.count(f"worker{w}") == grads // steps + 1
+    # the master answers every pull with one send_frame call, in the
+    # caller's own thread
+    assert sends.count(caller) == res.counters.pulls_served
+    assert len(sends) == 2 * res.counters.pulls_served
