@@ -9,7 +9,8 @@ pointing PYTHONPATH at that checkout's sources, and diff the outputs:
     diff before.txt after.txt
 
 Each stdout line names a run and digests its final vector, MetricsSeries
-rows, counters and the applied and received staleness histograms. The
+rows, counters and the applied and received staleness histograms; an
+apps-a2c line also digests its oracle's env_steps and episode_returns. The
 wall time of each run goes to stderr, so it stays out of the diff. The
 sim-sigmoid and apps runs use the benchmark's own configs
 (perfbench/workloads.py); the others are written out below.
@@ -141,9 +142,11 @@ def main(argv=None) -> int:
         _, lda = _timed(f"apps-lda/seed{seed}", lambda: run_dpsvi(
             ctx["lda_cfg"], ctx["model0"], ctx["train"]))
         print(fingerprint(f"apps-lda/seed{seed}", lda), flush=True)
-        _, a2c, _ = _timed(f"apps-a2c/seed{seed}",
-                           lambda: run_hsa2c(ctx["a2c_cfg"], ctx["env"]))
-        print(fingerprint(f"apps-a2c/seed{seed}", a2c), flush=True)
+        _, a2c, oracle = _timed(f"apps-a2c/seed{seed}",
+                                lambda: run_hsa2c(ctx["a2c_cfg"], ctx["env"]))
+        episodes = _digest((oracle.env_steps, oracle.episode_returns))
+        print(f"{fingerprint(f'apps-a2c/seed{seed}', a2c)} "
+              f"episodes={episodes}", flush=True)
     return 0
 
 

@@ -34,6 +34,13 @@ class ToyEnv:
         if self.goal is None:
             self.goal = (self.side - 1, self.side - 1)
         self.validate()
+        # the dynamics as lookups: step and GridworldOracle's episode
+        # loop read these lists; cells are row-major state indices
+        nxt, rew = transition_tables(self)
+        self.next_state_table: list[list[int]] = nxt.tolist()
+        self.reward_table: list[list[float]] = rew.tolist()
+        self.start_index = self.index_of(self.start)
+        self.goal_index = self.index_of(self.goal)
         self.reset()
 
     def validate(self) -> None:
@@ -63,7 +70,7 @@ class ToyEnv:
 
     @property
     def state(self) -> int:
-        return self.index_of(self._cell)
+        return self._state
 
     @property
     def done(self) -> bool:
@@ -78,7 +85,7 @@ class ToyEnv:
         return self._steps
 
     def reset(self) -> int:
-        self._cell = tuple(self.start)
+        self._state = self.start_index
         self._steps = 0
         self._done = False
         self._reached_goal = False
@@ -89,19 +96,15 @@ class ToyEnv:
             raise ConfigurationError("episode is over; reset the environment")
         if not 0 <= action < N_ACTIONS:
             raise ConfigurationError(f"action must be in [0, {N_ACTIONS})")
-        dr, dc = MOVES[action]
-        r = min(max(self._cell[0] + dr, 0), self.side - 1)
-        c = min(max(self._cell[1] + dc, 0), self.side - 1)
-        self._cell = (r, c)
+        s = self._state
+        self._state = self.next_state_table[s][action]
         self._steps += 1
-        if self._cell == tuple(self.goal):
-            reward = self.goal_reward
+        if self._state == self.goal_index:
             self._reached_goal = True
             self._done = True
         else:
-            reward = self.step_reward
             self._done = self._steps >= self.t_max_episode
-        return self.state, reward, self._done
+        return self._state, self.reward_table[s][action], self._done
 
 
 def transition_tables(env: ToyEnv) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +130,7 @@ def optimal_return(env: ToyEnv) -> float:
     absorbing; exact because transitions are deterministic.
     """
     nxt, rew = transition_tables(env)
-    goal = env.index_of(tuple(env.goal))
+    goal = env.goal_index
     v = np.zeros(env.n_states)
     for _ in range(env.t_max_episode):
         cont = v[nxt]
@@ -135,7 +138,7 @@ def optimal_return(env: ToyEnv) -> float:
         v_new = (rew + cont).max(axis=1)
         v_new[goal] = 0.0
         v = v_new
-    return float(v[env.index_of(tuple(env.start))])
+    return float(v[env.start_index])
 
 
 def uniform_policy_return(env: ToyEnv) -> float:
@@ -145,10 +148,10 @@ def uniform_policy_return(env: ToyEnv) -> float:
     probability mass that gets absorbed at the goal.
     """
     nxt, rew = transition_tables(env)
-    goal = env.index_of(tuple(env.goal))
+    goal = env.goal_index
     mean_reward = rew.mean(axis=1)
     d = np.zeros(env.n_states)
-    d[env.index_of(tuple(env.start))] = 1.0
+    d[env.start_index] = 1.0
     total = 0.0
     for _ in range(env.t_max_episode):
         total += float(d @ mean_reward)

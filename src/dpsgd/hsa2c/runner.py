@@ -7,12 +7,21 @@ segments of at most t_max steps, bootstrapping the critic's estimate at
 non-terminal segment ends, and the per-segment gradients accumulate
 into one update. Mini-batch size m (the engine's batch_size) counts
 episodes per local update; B local updates make one pushed vector.
+
+An episode runs as one loop over lookup tables: the policy, cumulative
+policy and value tables are built once per grad_at call, and the
+transition and reward tables belong to the ToyEnv. The loop is bitwise
+rollout, then kstep_returns, then ac_gradients, segment by segment, with
+the segment gradient summed from zeros before it joins the episode's.
+Each segment takes its uniforms in one rng.random(k) call, which yields
+the doubles of k scalar calls in order; only the last segment of an
+episode can draw more than it uses.
 """
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
+from bisect import bisect_right
 
 import numpy as np
 
@@ -20,7 +29,7 @@ from ..engine import ProblemSpec, RunConfig, RunResult, run_with_oracle
 from ..engine.rng import ROLE_ENV, pass_indices, substream
 from ..errors import ConfigurationError
 from ..problems import _check_index
-from .agent import ActorCriticParams, ac_gradients, kstep_returns, rollout
+from .agent import ActorCriticParams, policy_matrix
 from .env import N_ACTIONS, ToyEnv
 
 # virtual pool of episode seeds the engine samples indices from
@@ -50,31 +59,73 @@ class GridworldOracle:
         self._lock = threading.Lock()
         self._start = time.monotonic()
 
-    def _episode(self, index: int, params: ActorCriticParams):
-        env = replace(self.env)
-        rng = substream(self.seed, ROLE_ENV, int(index))
-        g_theta = np.zeros_like(params.theta)
-        g_v = np.zeros_like(params.theta_v)
-        total_reward = 0.0
-        while not env.done:
-            traj = rollout(env, params, self.t_max, rng)
-            returns = kstep_returns(traj, env.gamma_rl)
-            gt, gv = ac_gradients(traj, returns, params)
-            g_theta += gt
-            g_v += gv
-            total_reward += float(traj.rewards.sum())
-        return g_theta, g_v, env.steps_taken, total_reward
+    def _episode(self, rng, cdf, probs, values):
+        """(g_theta rows, g_v, steps, return) of one episode drawn from rng.
+
+        cdf, probs and values are the cumulative policy, policy and value
+        tables as nested lists.
+        """
+        env = self.env
+        nxt, rew = env.next_state_table, env.reward_table
+        goal, cap, gamma = env.goal_index, env.t_max_episode, env.gamma_rl
+        # cdf[s][-1] can fall a few ulps short of 1; clamp the overflow bin
+        last = N_ACTIONS - 1
+        g_theta = [[0.0] * N_ACTIONS for _ in range(env.n_states)]
+        g_v = [0.0] * env.n_states
+        s, steps, done, total_reward = env.start_index, 0, False, 0.0
+        while not done:
+            states, actions, rewards = [], [], []
+            for u in rng.random(min(self.t_max, cap - steps)).tolist():
+                a = min(bisect_right(cdf[s], u), last)
+                states.append(s)
+                actions.append(a)
+                rewards.append(rew[s][a])
+                s = nxt[s][a]
+                if s == goal:
+                    done = True
+                    break
+            steps += len(states)
+            done = done or steps >= cap
+            acc = 0.0 if done else values[s]
+            returns = [0.0] * len(states)
+            for i in range(len(states) - 1, -1, -1):
+                acc = rewards[i] + gamma * acc
+                returns[i] = acc
+            # only visited rows: adding a zero row is exact, as a sum
+            # grown from +0.0 by adds and subtracts is never -0.0
+            seg_theta, seg_v = {}, {}
+            for si, a, ret in zip(states, actions, returns):
+                adv = ret - values[si]
+                row = seg_theta.get(si)
+                if row is None:
+                    row = seg_theta[si] = [0.0] * N_ACTIONS
+                    seg_v[si] = 0.0
+                for j, p in enumerate(probs[si]):
+                    row[j] -= adv * p
+                row[a] += adv
+                seg_v[si] -= 2.0 * adv
+            for si, row in seg_theta.items():
+                ep_row = g_theta[si]
+                for j, g in enumerate(row):
+                    ep_row[j] += g
+                g_v[si] += seg_v[si]
+            total_reward += float(np.array(rewards).sum())
+        return g_theta, g_v, steps, total_reward
 
     def grad_at(self, i, x) -> np.ndarray:
         idx = _check_index(i, self.n)
         params = ActorCriticParams.from_vector(
             x, self.env.n_states, N_ACTIONS
         )
+        probs = policy_matrix(params.theta)
+        tables = (np.cumsum(probs, axis=1).tolist(), probs.tolist(),
+                  params.theta_v.tolist())
         out = np.zeros(self.dim)
         for index in idx:
-            g_theta, g_v, steps, ret = self._episode(index, params)
-            out[: self.split] -= g_theta.ravel()
-            out[self.split :] += g_v
+            rng = substream(self.seed, ROLE_ENV, int(index))
+            g_theta, g_v, steps, ret = self._episode(rng, *tables)
+            out[: self.split] -= np.array(g_theta).ravel()
+            out[self.split :] += np.array(g_v)
             with self._lock:
                 self.env_steps += steps
                 self.episode_returns.append(ret)

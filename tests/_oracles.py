@@ -2,16 +2,23 @@
 
 The numeric oracles are written against textbook definitions, not
 against the package code, so agreement is evidence rather than
-tautology. The reference loops are the plain per-step forms of package
-functions that were later optimised; the optimised forms must match
-them bit for bit.
+tautology. The reference loops are the plain per-step or per-segment
+forms of package functions that were later optimised; the optimised
+forms must match them bit for bit.
 """
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from dpsgd.hsa2c import Trajectory, policy_probs
+from dpsgd.hsa2c import (
+    Trajectory,
+    ac_gradients,
+    kstep_returns,
+    policy_probs,
+    rollout,
+)
 
 _SHIFT_TO = 30.0  # recurrence shift target before applying the series
 _N_SERIES_TERMS = 25  # B_2 .. B_50: a 50th-order asymptotic tail
@@ -102,3 +109,25 @@ def ac_gradients_per_step(traj, returns, params):
         g_theta[s, a] += adv
         g_v[s] -= 2.0 * adv
     return g_theta, g_v
+
+
+def episode_by_segments(env, params, t_max, rng):
+    """One episode as rollout, kstep_returns and ac_gradients per segment.
+
+    Returns (g_theta, g_v, steps, total reward): each segment's gradients
+    are added to the episode's in numpy, and its reward total is numpy's
+    sum of the segment's rewards. GridworldOracle's table-driven episode
+    must match it bit for bit.
+    """
+    env = replace(env)
+    g_theta = np.zeros_like(params.theta)
+    g_v = np.zeros_like(params.theta_v)
+    total_reward = 0.0
+    while not env.done:
+        traj = rollout(env, params, t_max, rng)
+        returns = kstep_returns(traj, env.gamma_rl)
+        gt, gv = ac_gradients(traj, returns, params)
+        g_theta += gt
+        g_v += gv
+        total_reward += float(traj.rewards.sum())
+    return g_theta, g_v, env.steps_taken, total_reward
