@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -25,6 +24,7 @@ from ..engine import (
     run_tcp_master,
     run_tcp_worker,
 )
+from ..engine.config import load_json_object
 from ..errors import ConfigurationError, DpsgdError
 from ..hsa2c import ToyEnv, optimal_return, run_hsa2c
 from ..svi_lda import (
@@ -43,22 +43,8 @@ LDA_SERIES_HEADER = ("wall_clock_s", "effective_docs_seen", "heldout_perplexity"
 RL_SERIES_HEADER = ("wall_clock_s", "env_steps", "mean_return_last_100")
 
 
-def _load_json(path) -> dict:
-    """Read a JSON object, mapping file and parse problems to exit code 2."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config {path} must be a JSON object")
-    return raw
-
-
 def _load_run_config(args) -> RunConfig:
-    cfg = RunConfig.from_dict(_load_json(args.config))
+    cfg = RunConfig.from_dict(load_json_object(args.config))
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=int(args.seed))
         cfg.validate()
@@ -89,10 +75,6 @@ def _emit_and_report(out_dir, stem: str, cfg: RunConfig, result) -> None:
 def _cmd_run(args) -> int:
     cfg = _load_run_config(args)
     if args.trace_overwrites:
-        if args.transport == "tcp":
-            raise ConfigurationError(
-                "overwrite traces are in-process only; drop --transport tcp"
-            )
         cfg = replace(cfg, trace_overwrites=True, execution="threaded")
     if args.transport == "inproc":
         cfg = replace(cfg, execution="threaded")
@@ -114,15 +96,9 @@ def _cmd_run(args) -> int:
             host, port = _parse_address(args.listen)
             server = TcpMasterServer(cfg, init, host=host, port=port)
             server.start()
-            try:
-                print(
-                    f"master listening on "
-                    f"{server.address[0]}:{server.address[1]}",
-                    flush=True,
-                )
-                result = run_tcp_master(cfg, oracle, init, server=server)
-            finally:
-                server.close()
+            print(f"master listening on {server.address[0]}:"
+                  f"{server.address[1]}", flush=True)
+            result = run_tcp_master(cfg, oracle, init, server=server)
         else:
             result = run_tcp(cfg, oracle, init)
     else:
@@ -132,7 +108,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = ExperimentSpec.from_dict(_load_json(args.config))
+    spec = ExperimentSpec.from_dict(load_json_object(args.config))
     out_dir = args.out_dir if args.out_dir is not None else spec.out_dir
     summary = run_experiment(spec, out_dir=out_dir)
     failures = [r for r in summary["runs"] if r["error"] is not None]
@@ -266,7 +242,7 @@ def _cmd_rl(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    raw = _load_json(args.config)
+    raw = load_json_object(args.config)
     if "base" in raw:
         spec = ExperimentSpec.from_dict(raw)
         n_runs = len(spec.nW_list) * len(spec.p_list) * len(spec.B_list)

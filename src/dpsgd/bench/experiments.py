@@ -1,7 +1,6 @@
 """Sweep orchestration, time-speedup ratios, and convergence-slope fits."""
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -9,6 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..engine import RunConfig, rescale_rate, run
+from ..engine.config import load_json_object
 from ..errors import ConfigurationError, DpsgdError
 from .metrics import SUMMARY_SCHEMA, emit_run, write_summary_json
 
@@ -162,16 +162,8 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json_file(path) -> "ExperimentSpec":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"experiment spec {path} is not valid JSON: {exc}"
-                )
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"experiment spec {path} must be an object")
-        return ExperimentSpec.from_dict(raw)
+        return ExperimentSpec.from_dict(
+            load_json_object(path, "experiment spec"))
 
 
 def _usable_norm(value) -> bool:

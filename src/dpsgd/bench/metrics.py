@@ -20,14 +20,19 @@ CSV_SCHEMA = "dpsgd-metrics-v1"
 SUMMARY_SCHEMA = "dpsgd-summary-v1"
 
 
-def write_metrics_csv(path, metrics: MetricsSeries) -> None:
+def write_rows_csv(path, header: tuple[str, ...], rows) -> None:
+    """A versioned CSV series: the engine's metrics, LDA and RL series."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# {CSV_SCHEMA}\n")
         writer = csv.writer(fh)
-        writer.writerow(MetricsSeries.COLUMNS)
-        for row in metrics.rows:
+        writer.writerow(header)
+        for row in rows:
             writer.writerow([repr(x) if isinstance(x, float) else x
                              for x in row])
+
+
+def write_metrics_csv(path, metrics: MetricsSeries) -> None:
+    write_rows_csv(path, MetricsSeries.COLUMNS, metrics.rows)
 
 
 def read_metrics_csv(path) -> MetricsSeries:
@@ -97,17 +102,6 @@ def write_summary_json(path, summary: dict[str, Any]) -> None:
 def read_summary_json(path) -> dict[str, Any]:
     with open(path) as fh:
         return json.load(fh)
-
-
-def write_rows_csv(path, header: tuple[str, ...], rows) -> None:
-    """Small generic writer for non-engine series (LDA and RL metrics)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {CSV_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x
-                             for x in row])
 
 
 def emit_run(out_dir, stem: str, cfg: RunConfig, result: RunResult) -> dict[str, Any]:

@@ -28,15 +28,13 @@ class DelayModel:
     from a dedicated seeded stream (sim.pass_delays), so delays replay
     with the run seed. In every runtime a push's transit delays only its
     delivery to the master; the pushing worker starts its next pass at
-    once. "seeded-jitter" is simulated-only: the threaded and TCP
-    runtimes reject it.
+    once. "seeded-jitter" is simulated-only (RunConfig.check_runtime).
 
     d_prime_bound is the staleness bound D'. Policy "drop" discards an
     update whose staleness at receipt exceeds D' (counted); "block" makes
     the master wait for stragglers so no applied update ever exceeds D'
     (preserves every update, sacrifices liveness if a worker stalls;
-    simulated-only, the threaded and TCP runtimes reject it); "off"
-    applies everything and only counts violations.
+    simulated-only); "off" applies everything and only counts violations.
     """
 
     kind: str = "none"
@@ -180,6 +178,35 @@ class RunConfig:
             self.theory.validate()
         self.resolve_rho()  # raises on malformed schedules
 
+    def check_runtime(self, runtime: str) -> None:
+        """Raise ConfigurationError unless runtime ("simulated", "threaded"
+        or "tcp") can honour this config: the one list of what each
+        runtime refuses, checked before a thread starts, a socket binds
+        or a connection opens."""
+        delay = self.delay
+        if runtime != "simulated" and delay.enforce == "block":
+            raise ConfigurationError(
+                "enforce='block' is only available on execution='simulated'"
+            )
+        if runtime != "simulated" and delay.kind == "seeded-jitter":
+            raise ConfigurationError(
+                "delay kind 'seeded-jitter' is only available on "
+                "execution='simulated'"
+            )
+        if runtime != "threaded" and self.trace_overwrites:
+            raise ConfigurationError(
+                f"overwrite tracing needs execution='threaded' (real slab "
+                f"writers in one process), not the {runtime} runtime"
+            )
+        transit = delay.latency if delay.kind == "fixed" else delay.high
+        if (runtime == "simulated" and delay.kind != "none" and transit > 0
+                and self.compute_cost_s <= 0):
+            raise ConfigurationError(
+                "simulated transit delays need compute_cost_s > 0: a worker "
+                "with zero-duration passes would send unboundedly many "
+                "pushes per virtual instant"
+            )
+
     def resolve_rho(self) -> Callable[[int], float]:
         """Turn the schedule spec into rho(t); validates as a side effect."""
         sched = self.rho_schedule
@@ -257,14 +284,22 @@ class RunConfig:
 
     @staticmethod
     def from_json_file(path) -> "RunConfig":
+        return RunConfig.from_dict(load_json_object(path))
+
+
+def load_json_object(path, label: str = "config") -> dict[str, Any]:
+    """The JSON object in file path; ConfigurationError if the file cannot
+    be read, is not JSON or holds something else."""
+    try:
         with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"config {path} is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"config {path} must hold a JSON object")
-        return RunConfig.from_dict(raw)
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {label} {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{label} {path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{label} {path} must hold a JSON object")
+    return raw
 
 
 def _build(cls, data: dict[str, Any], label: str):

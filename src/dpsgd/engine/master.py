@@ -3,9 +3,10 @@
 Master holds the model and the run's bookkeeping: it counts each push it
 receives, applies the drop policy, applies batches and samples the
 metrics series. The simulator drives it on virtual time; the threaded
-and TCP runtimes drive it through serve_master, which takes pushes from
-a Mailbox. A Mailbox holds the published model, which workers pull, and
-the pushes on their way to the master, each released at its due time.
+and TCP runtimes drive it in threaded.run_workers, on the pushes a
+Mailbox delivers. A Mailbox holds the published model, which workers
+pull, and the pushes on their way to the master, each released at its
+due time.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ParamVector, UpdateVector, apply_global_update
-from ..errors import ConfigurationError, TransportError
+from ..errors import TransportError
 from .config import RunConfig
 from .result import MetricsSeries, RunCounters, RunResult
 
@@ -134,21 +135,14 @@ class Mailbox:
     One Condition guards both. A push becomes deliverable transit_s after
     push() is called; next_delivery() returns deliverable pushes earliest
     due first, ties in push order. Transit therefore delays only the
-    delivery, never the pushing worker. Real runtimes cannot honour the
-    simulated-only settings, so constructing a mailbox rejects them
-    before any worker thread starts or socket binds.
+    delivery, never the pushing worker. Constructing a mailbox rejects a
+    config its runtime cannot honour (RunConfig.check_runtime), before
+    any worker thread starts or socket binds.
     """
 
-    def __init__(self, cfg: RunConfig, initial: np.ndarray):
-        if cfg.delay.enforce == "block":
-            raise ConfigurationError(
-                "enforce='block' is only available on execution='simulated'"
-            )
-        if cfg.delay.kind == "seeded-jitter":
-            raise ConfigurationError(
-                "delay kind 'seeded-jitter' is only available on "
-                "execution='simulated'"
-            )
+    def __init__(self, cfg: RunConfig, initial: np.ndarray,
+                 runtime: str = "threaded"):
+        cfg.check_runtime(runtime)
         self._cfg = cfg
         self._cv = threading.Condition(threading.Lock())
         self._published = Published(0, initial.copy())
@@ -204,31 +198,10 @@ class Mailbox:
                 self._cv.wait(wait)
 
     def drain(self, until, deadline: float) -> None:
-        """Serve the workers after stop until until() holds or deadline
-        (time.monotonic()) passes; in-process workers need no serving."""
+        """Serve the workers after stop until until() holds (every local
+        worker has exited) or deadline (time.monotonic()) passes;
+        in-process workers need no serving."""
 
     def close(self) -> None:
         """Release what the mailbox holds; an in-process one holds nothing."""
 
-
-def serve_master(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
-                 abort_check=None) -> Master:
-    """Run the master to version T on the pushes mailbox delivers.
-
-    Every applied model is published through mailbox. Returns the Master.
-    """
-    master = Master(cfg, oracle, init, publish=mailbox.publish)
-    start = time.monotonic()
-    batch: list[UpdateVector] = []
-    while master.version < cfg.T:
-        upd = mailbox.next_delivery(abort_check=abort_check)
-        if not master.receive(upd.base_version, upd.worker_id):
-            continue
-        batch.append(upd)
-        if len(batch) == cfg.M:
-            master.apply(batch, time.monotonic() - start)
-            batch = []
-    # every push the master received came from a completed pass of p*B steps
-    master.counters.gradient_evals_computed = (
-        master.counters.pushes_received * cfg.Btilde)
-    return master

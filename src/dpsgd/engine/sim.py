@@ -146,19 +146,7 @@ def pass_delays(cfg: RunConfig, w: int, pass_idx: int) -> tuple[float, float]:
 
 
 def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
-    if cfg.trace_overwrites:
-        raise ConfigurationError(
-            "overwrite tracing needs execution='threaded' (real slab writers)"
-        )
-    transit_possible = (cfg.delay.kind == "fixed" and cfg.delay.latency > 0) or (
-        cfg.delay.kind in ("uniform", "seeded-jitter") and cfg.delay.high > 0
-    )
-    if transit_possible and cfg.compute_cost_s <= 0:
-        raise ConfigurationError(
-            "simulated transit delays need compute_cost_s > 0: a worker with "
-            "zero-duration passes would send unboundedly many pushes per "
-            "virtual instant"
-        )
+    cfg.check_runtime("simulated")
     v = np.array(init, dtype=float)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ConfigurationError("initial model must be a non-empty vector")
@@ -172,7 +160,8 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
     batch: list[_Push] = []  # delivered and kept, not yet applied
     pending: list[_Push] = []  # block: delivered, waiting for the gate
     deferred: list[_Push] = []  # pulled passes, all based on master.version
-    inflight_bases: dict[int, int] = {}  # block: base -> unapplied pushes
+    # block: the base of worker w's one unapplied push, None when it has none
+    unapplied: list[int | None] = [None] * cfg.nW
     pass_counter = [0] * cfg.nW
 
     events: list[tuple] = []
@@ -181,26 +170,14 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
         heapq.heappush(events, (0.0, _PULL, seq, w, None))
         seq += 1
 
-    def unregister(base: int) -> None:
-        left = inflight_bases[base] - 1
-        if left:
-            inflight_bases[base] = left
-        else:
-            del inflight_bases[base]
-
     def gate_open(batch: list[_Push]) -> bool:
         # block policy: advancing to version+1 must leave every not-yet
         # applied push still able to meet the staleness bound later; when
         # it would not, the master waits for the straggler instead
-        outside = dict(inflight_bases)
-        for push in batch:
-            b = push.base_version
-            outside[b] -= 1
-            if not outside[b]:
-                del outside[b]
-        if not outside:
-            return True
-        return master.version + 1 - min(outside) <= bound
+        in_batch = {push.worker_id for push in batch}
+        outside = [base for w, base in enumerate(unapplied)
+                   if base is not None and w not in in_batch]
+        return not outside or master.version + 1 - min(outside) <= bound
 
     def compute_deferred() -> None:
         if deferred:
@@ -215,7 +192,7 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
                      now)
         if block:
             for push in batch:
-                unregister(push.base_version)
+                unapplied[push.worker_id] = None
                 # the worker was waiting for this apply; it resumes now
                 heapq.heappush(events, (now, _PULL, seq, push.worker_id, None))
                 seq += 1
@@ -257,7 +234,7 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             counters.gradient_evals_computed += evals_per_pass
             base = master.version
             if block:
-                inflight_bases[base] = inflight_bases.get(base, 0) + 1
+                unapplied[w] = base
             push = _Push(w, base, pass_idx)
             deferred.append(push)
             extra, transit = pass_delays(cfg, w, pass_idx)

@@ -7,9 +7,10 @@ with its next PULL_REQ, in one send. The master side answers pulls from
 whatever model is currently published, so a slow worker never blocks an
 apply. The k-th push accepted on a connection gets the transit of that
 worker's pass k, and the server holds it until it is due, as the
-in-process hub does: the worker does not wait for it. The simulated-only
-settings, enforce="block" and seeded-jitter delays, are rejected before
-the server binds.
+in-process hub does: the worker does not wait for it. A config this
+runtime cannot honour (RunConfig.check_runtime) is rejected before the
+server binds or a worker connects: the simulated-only settings, and
+overwrite traces, which do not cross the wire.
 
 The server starts no thread. Its listener and its connections are
 non-blocking and sit in one selector, and serve() is the one loop that
@@ -21,18 +22,18 @@ connection is polled for write only until the reply is sent, so a peer
 that does not read costs one reply of memory and half a frame never
 blocks an apply.
 
-After the last apply the server drains: it keeps serving, and answers
-every PULL_REQ with SHUTDOWN, until every worker thread has exited
-(run_tcp) or every connection has closed (run_tcp_master), for at most
-threaded._JOIN_TIMEOUT_S.
+Both roles run threaded.run_workers: run_tcp with its nW worker threads,
+run_tcp_master with none. After the last apply the server drains: it
+keeps serving, and answers every PULL_REQ with SHUTDOWN, until every
+local worker thread has exited and every connection has closed, for at
+most threaded._JOIN_TIMEOUT_S. The server is closed on every exit path.
 
 A malformed frame is fatal for its connection only: the master counts
 it, closes that socket, and keeps serving the rest. So is a well-formed
 PUSH the master could not apply: a delta of the wrong dimension or with
 a non-finite value, a worker id outside [0, nW), or a base version above
 the published one. Such a push is never queued. A connection that closes
-mid-frame is dropped without being counted. Traces do not cross the
-wire; use the threaded runtime to record overwrite traces.
+mid-frame is dropped without being counted.
 """
 from __future__ import annotations
 
@@ -45,9 +46,8 @@ import numpy as np
 
 from ..core import UpdateVector
 from ..errors import TransportError, WireProtocolError
-from . import threaded
 from .config import RunConfig
-from .master import _ABORT_POLL_S, _QUEUE_TIMEOUT_S, Mailbox, serve_master
+from .master import _ABORT_POLL_S, _QUEUE_TIMEOUT_S, Mailbox
 from .result import RunResult
 from .sim import pass_delays
 from .threaded import run_workers, worker_loop
@@ -161,14 +161,14 @@ class TcpMasterServer(Mailbox):
     """Serves every worker connection from the thread that runs serve().
 
     start() binds a non-blocking listener into one selector and starts no
-    thread. The owner then runs the master against this mailbox, whose
-    next_delivery serves the sockets while it waits, and finally calls
-    broadcast_stop(), drain() and close().
+    thread. threaded.run_workers then runs the master against this
+    mailbox, whose next_delivery serves the sockets while it waits, and
+    finally calls broadcast_stop(), drain() and close().
     """
 
     def __init__(self, cfg: RunConfig, initial: np.ndarray,
                  host: str = "127.0.0.1", port: int = 0):
-        super().__init__(cfg, initial)
+        super().__init__(cfg, initial, "tcp")
         self._dim = int(initial.shape[0])
         self._listener: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
@@ -238,8 +238,8 @@ class TcpMasterServer(Mailbox):
 
     def drain(self, until, deadline: float) -> None:
         """Serve, SHUTDOWN to every pull once stopped, until until() holds
-        or the deadline passes."""
-        self.serve(until, deadline)
+        and no connection is open, or the deadline passes."""
+        self.serve(lambda: until() and not self._conns, deadline)
 
     def _accept(self) -> None:
         try:
@@ -354,6 +354,7 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
     it returns or raises; an error in any local thread is raised from
     here. Returns the number of completed passes.
     """
+    cfg.check_runtime("tcp")
     conn = Connection(connect_with_retries(address, attempts=attempts))
     held: list[bytes] = []  # the last pass's PUSH frame
 
@@ -388,26 +389,15 @@ def run_tcp_master(cfg: RunConfig, oracle, init,
                    server: TcpMasterServer | None = None) -> RunResult:
     """Serve a full run over TCP; workers connect from elsewhere.
 
-    Returns once the drain has seen every connection close, so every
-    worker has had its SHUTDOWN.
+    Starts a server on host:port unless given one, and closes it either
+    way. Returns once the drain has seen every connection close, so
+    every worker has had its SHUTDOWN.
     """
     init = np.asarray(init, dtype=float)
-    own_server = server is None
     if server is None:
         server = TcpMasterServer(cfg, init, host=host, port=port)
         server.start()
-    start = time.monotonic()
-    try:
-        master = serve_master(cfg, oracle, init, server)
-    finally:
-        server.broadcast_stop()
-        server.drain(lambda: not server.connections,
-                     time.monotonic() + threaded._JOIN_TIMEOUT_S)
-        if own_server:
-            server.close()
-    master.counters.pulls_served = server.pulls_served
-    master.counters.malformed_frames = server.malformed_frames
-    return master.result("tcp", time.monotonic() - start)
+    return run_workers(cfg, oracle, init, server, None, "tcp")
 
 
 def run_tcp(cfg: RunConfig, oracle, init=None,

@@ -1,6 +1,6 @@
 """Real-thread runtime: lock-free local threads, async master, in-process hub.
 
-The master runs in the calling thread (serve_master) and takes pushes
+The master runs in the calling thread (run_workers) and takes pushes
 from an InprocHub; workers run in their own threads, each running p
 local threads over a SharedSlab per pass. A worker keeps p - 1
 long-lived helper threads (LocalThreads) for its whole life and runs
@@ -8,10 +8,11 @@ local thread 0 itself, so a run holds at most nW * (p - 1) helpers, all
 joined when their worker exits. The hub publishes the model as an
 immutable (version, vector, stop) triple swapped whole, so pulls never
 block applies. A push's transit delays only its delivery: the hub holds
-it until it is due, and the worker starts its next pass at once. The
-simulated-only settings, enforce="block" and seeded-jitter delays, are
-rejected before any thread starts. run_workers drives this runtime and
-the TCP one: both only build their mailbox and their worker body.
+it until it is due, and the worker starts its next pass at once. A
+config this runtime cannot honour (RunConfig.check_runtime) is rejected
+before any thread starts. run_workers is the one run lifecycle of this
+runtime and the TCP one: both only build their mailbox and their worker
+body, and a TCP master whose workers connect from elsewhere has none.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 from ..core import SharedSlab, make_update_vector
 from ..errors import TransportError
 from .config import RunConfig
-from .master import Mailbox, serve_master
+from .master import Mailbox, Master
 from .result import RunResult, TraceBundle
 from .rng import pass_indices
 from .sim import pass_delays, step_indices
@@ -191,34 +192,19 @@ def worker_loop(cfg: RunConfig, oracle, worker_id: int, pull, push,
             pass_idx += 1
 
 
-def join_workers(workers: list[threading.Thread], deadline: float) -> None:
-    """Join a run's worker threads, waiting until deadline at most."""
-    for th in workers:
-        th.join(timeout=max(0.0, deadline - time.monotonic()))
-
-
-def check_joined(workers: list[threading.Thread]) -> None:
-    """Raise TransportError naming every worker join_workers left alive."""
-    alive = [th.name for th in workers if th.is_alive()]
-    if alive:
-        raise TransportError(
-            f"workers still running {_JOIN_TIMEOUT_S} s after the run "
-            f"stopped: {', '.join(alive)}"
-        )
-
-
 def run_workers(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
                 work, mode: str, traces=None) -> RunResult:
-    """Serve a run on mailbox here while threads worker0 .. worker<nW-1>
-    run work(w); the driver of both real runtimes.
+    """Run the master here to version T on the pushes mailbox delivers,
+    while threads worker0 .. worker<nW-1> run work(w); with work None no
+    worker starts here. The one driver of both real runtimes.
 
-    Workers start inside the try, so a failed start still stops, joins
-    and closes what had started. Once the master is done, or has failed,
-    the mailbox broadcasts stop and drains until every started worker
-    has exited; then they are joined and the mailbox is closed, all
-    within _JOIN_TIMEOUT_S. Then the first worker error fails the run,
-    even one raised after the last apply, and so does a worker still
-    alive.
+    Every applied model is published through mailbox. Workers start
+    inside the try, so a failed start still stops, joins and closes what
+    had started. Once the master is done, or has failed, the mailbox
+    broadcasts stop and drains until every started worker has exited;
+    then they are joined and the mailbox is closed, all within
+    _JOIN_TIMEOUT_S. Then the first worker error fails the run, even one
+    raised after the last apply, and so does a worker still alive.
     """
     errors: list[BaseException] = []
 
@@ -235,22 +221,40 @@ def run_workers(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
     workers: list[threading.Thread] = []
     start = time.monotonic()
     try:
-        for w in range(cfg.nW):
+        master = Master(cfg, oracle, init, publish=mailbox.publish)
+        for w in range(cfg.nW if work is not None else 0):
             th = threading.Thread(target=worker, args=(w,), name=f"worker{w}")
             th.start()
             workers.append(th)
-        master = serve_master(cfg, oracle, init, mailbox, abort_check)
+        batch = []
+        while master.version < cfg.T:
+            upd = mailbox.next_delivery(abort_check=abort_check)
+            if not master.receive(upd.base_version, upd.worker_id):
+                continue
+            batch.append(upd)
+            if len(batch) == cfg.M:
+                master.apply(batch, time.monotonic() - start)
+                batch = []
     finally:
         mailbox.broadcast_stop()
         deadline = time.monotonic() + _JOIN_TIMEOUT_S
         mailbox.drain(lambda: not any(th.is_alive() for th in workers),
                       deadline)
-        join_workers(workers, deadline)
+        for th in workers:
+            th.join(timeout=max(0.0, deadline - time.monotonic()))
         mailbox.close()
     abort_check()
-    check_joined(workers)
-    master.counters.pulls_served = mailbox.pulls_served
-    master.counters.malformed_frames = mailbox.malformed_frames
+    alive = [th.name for th in workers if th.is_alive()]
+    if alive:
+        raise TransportError(
+            f"workers still running {_JOIN_TIMEOUT_S} s after the run "
+            f"stopped: {', '.join(alive)}"
+        )
+    counters = master.counters
+    # every push the master received came from a completed pass of p*B steps
+    counters.gradient_evals_computed = counters.pushes_received * cfg.Btilde
+    counters.pulls_served = mailbox.pulls_served
+    counters.malformed_frames = mailbox.malformed_frames
     return master.result(mode, time.monotonic() - start, traces)
 
 

@@ -55,7 +55,7 @@ class GridworldOracle:
         self.dim = self.split + env.n_states
         self.env_steps = 0
         self.episode_returns: list[float] = []
-        self.history: list[tuple[float, int, float]] = []
+        self._log: list[tuple[float, int]] = []  # (time, env_steps) per episode
         self._lock = threading.Lock()
         self._start = time.monotonic()
 
@@ -129,14 +129,17 @@ class GridworldOracle:
             with self._lock:
                 self.env_steps += steps
                 self.episode_returns.append(ret)
-                self.history.append(
-                    (
-                        time.monotonic() - self._start,
-                        self.env_steps,
-                        self.mean_return_last(),
-                    )
-                )
+                self._log.append((time.monotonic() - self._start,
+                                  self.env_steps))
         return out
+
+    @property
+    def history(self) -> list[tuple[float, int, float]]:
+        """(seconds, env steps so far, mean of the last RETURN_WINDOW
+        returns) after each episode, the mean taken as it is read."""
+        returns = self.episode_returns
+        return [(t, steps, float(np.mean(returns[max(0, k - RETURN_WINDOW):k])))
+                for k, (t, steps) in enumerate(self._log, 1)]
 
     def mean_return_last(self, window: int = RETURN_WINDOW) -> float:
         tail = self.episode_returns[-window:]

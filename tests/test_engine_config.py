@@ -64,6 +64,42 @@ def test_malformed_json_file_rejected(tmp_path):
         RunConfig.from_json_file(arr)
 
 
+def test_unreadable_json_file_is_a_configuration_error(tmp_path):
+    from dpsgd.bench import ExperimentSpec
+
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ConfigurationError, match="cannot read config"):
+        RunConfig.from_json_file(missing)
+    with pytest.raises(ConfigurationError, match="cannot read experiment"):
+        ExperimentSpec.from_json_file(missing)
+
+
+RUNTIMES = ("simulated", "threaded", "tcp")
+
+
+@pytest.mark.parametrize("overrides,accepted_by", [
+    (dict(), RUNTIMES),
+    (dict(delay=DelayModel(kind="fixed", latency=1e-3, d_prime_bound=2,
+                           enforce="block"), compute_cost_s=1e-3),
+     ("simulated",)),
+    (dict(delay=DelayModel(kind="seeded-jitter", high=1e-3, jitter=1e-3),
+          compute_cost_s=1e-3), ("simulated",)),
+    (dict(trace_overwrites=True), ("threaded",)),
+    (dict(delay=DelayModel(kind="uniform", high=1e-3)), ("threaded", "tcp")),
+    (dict(delay=DelayModel(kind="fixed", latency=1e-3)), ("threaded", "tcp")),
+])
+def test_check_runtime_rejects_what_a_runtime_cannot_honour(overrides,
+                                                           accepted_by):
+    cfg = RunConfig(**overrides)
+    cfg.validate()
+    for runtime in RUNTIMES:
+        if runtime in accepted_by:
+            cfg.check_runtime(runtime)
+        else:
+            with pytest.raises(ConfigurationError):
+                cfg.check_runtime(runtime)
+
+
 @pytest.mark.parametrize("field", ["T", "M", "nW", "p", "B"])
 def test_counts_must_be_positive(field):
     cfg = RunConfig(**{field: 0})

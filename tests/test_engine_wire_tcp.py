@@ -180,6 +180,59 @@ def test_tcp_rejects_simulated_only_settings_before_binding(monkeypatch,
     assert threading.active_count() == before, threading.enumerate()
 
 
+@pytest.mark.parametrize("entry", ["run_tcp", "run_tcp_master",
+                                   "run_tcp_worker"])
+def test_tcp_rejects_traces_before_binding_or_connecting(monkeypatch, entry):
+    # traces do not cross the wire: a TCP run could only return none
+    cfg = tcp_config(trace_overwrites=True)
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    before = threading.active_count()
+
+    def refuse(*args):
+        raise AssertionError(
+            "started, bound or connected before the config was rejected")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(socket.socket, "bind", refuse)
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    args = (("127.0.0.1", 1), 0) if entry == "run_tcp_worker" else (
+        np.zeros(oracle.dim),)
+    with pytest.raises(ConfigurationError, match="threaded"):
+        getattr(tcp, entry)(cfg, oracle, *args)
+    assert threading.active_count() == before, threading.enumerate()
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_run_tcp_master_closes_the_server_it_was_given(monkeypatch, fail):
+    cfg = tcp_config(T=4)
+    oracle = build_oracle(cfg.problem, cfg.seed)
+    init = np.zeros(oracle.dim)
+    server = TcpMasterServer(cfg, init)
+    server.start()
+    address = server.address
+    workers = []
+    if fail:
+        def starved(*args, **kwargs):
+            raise TransportError("master starved: no push arrived in time")
+
+        monkeypatch.setattr(server, "next_delivery", starved)
+        with pytest.raises(TransportError, match="starved"):
+            tcp.run_tcp_master(cfg, oracle, init, server=server)
+    else:
+        workers = [threading.Thread(target=tcp.run_tcp_worker,
+                                    args=(cfg, oracle, address, w))
+                   for w in range(cfg.nW)]
+        for th in workers:
+            th.start()
+        assert tcp.run_tcp_master(cfg, oracle, init,
+                                  server=server).version == cfg.T
+    for th in workers:
+        th.join(timeout=30.0)
+    assert server.connections == 0
+    with pytest.raises(OSError):
+        socket.create_connection(address, timeout=1.0).close()
+
+
 def test_tcp_draws_each_passes_delay_once(monkeypatch):
     calls = recorded_pass_draws(monkeypatch)
     cfg = tcp_config(T=20, M=2, delay=DelayModel(kind="uniform", high=2e-3))
