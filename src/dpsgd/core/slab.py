@@ -88,6 +88,19 @@ class OverwriteTrace:
         chain.reverse()
         return chain
 
+    def _masks_behind(self, ids: np.ndarray) -> np.ndarray:
+        """Bool (n_writes, dim): (j, k) is True when write j's store at k
+        lies on the base-link chain behind store id ids[k], or write j
+        never touched k."""
+        index = self._store_index()
+        masks = np.zeros((self.n_writes, self.dim), dtype=bool)
+        for j, rec in enumerate(self.writes):
+            masks[j, rec.store_ids == _NOT_WRITTEN] = True
+        for k in range(self.dim):
+            for sid in self._chain(int(ids[k]), index):
+                masks[index[sid][0], k] = True
+        return masks
+
     def survival_masks(self) -> np.ndarray:
         """Bool (n_writes, dim): which dimensions of each write survived.
 
@@ -97,16 +110,7 @@ class OverwriteTrace:
         older value. Dimensions a write never touched (zero amount) count
         as surviving vacuously: a zero contribution is always in the sum.
         """
-        index = self._store_index()
-        final = self._final_store_ids()
-        masks = np.zeros((self.n_writes, self.dim), dtype=bool)
-        for j, rec in enumerate(self.writes):
-            masks[j, rec.store_ids == _NOT_WRITTEN] = True
-        for k in range(self.dim):
-            for sid in self._chain(int(final[k]), index):
-                j, _ = index[sid]
-                masks[j, k] = True
-        return masks
+        return self._masks_behind(self._final_store_ids())
 
     def replay(self) -> np.ndarray:
         """Reconstruct the final slab content exactly from the trace."""
@@ -168,16 +172,7 @@ class OverwriteTrace:
         read taken mid-flight can include different write sets on
         different dimensions; that mix is exactly what this reports.
         """
-        rec = self.reads[read_index]
-        index = self._store_index()
-        masks = np.zeros((self.n_writes, self.dim), dtype=bool)
-        for j, wrec in enumerate(self.writes):
-            masks[j, wrec.store_ids == _NOT_WRITTEN] = True
-        for k in range(self.dim):
-            for sid in self._chain(int(rec.observed_ids[k]), index):
-                j, _ = index[sid]
-                masks[j, k] = True
-        return masks
+        return self._masks_behind(self.reads[read_index].observed_ids)
 
 
 class SharedSlab:

@@ -15,11 +15,11 @@ A pass's delta depends only on (worker, pass index, base model), and no
 event time depends on a delta. So a pull only schedules its pass: the
 delta is computed later, at the top of the apply that leaves the pass's
 base version, by which point every pass with that base has been pulled.
-All of them are computed there as one group. When the oracle offers
-grad_stack, the group steps together, one oracle call per local step for
-the whole group; otherwise each pass runs on its own, in pull order. The
-arithmetic per pass is the same either way, so runs are bit-identical to
-computing each pass at its pull.
+All of them are computed there as one group, by one stepper that makes
+one stacked gradient call per local step for the whole group. An oracle
+without grad_stack is stepped through a one-row adapter over grad_at, as
+groups of one in pull order. The arithmetic per pass is the same either
+way, so runs are bit-identical to computing each pass at its pull.
 
 The master's bookkeeping (drop policy, applies, counters, staleness
 histograms, metrics) is master.Master, the same one the threaded and TCP
@@ -30,6 +30,7 @@ the delay sampler of every runtime.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,39 +60,20 @@ def step_indices(draws: np.ndarray, size: int):
     return draws.tolist() if size == 1 else draws.reshape(-1, size)
 
 
-def _compute_pass(cfg: RunConfig, oracle, w: int, pass_idx: int,
-                  v: np.ndarray) -> np.ndarray:
-    """One worker pass's delta, local threads unrolled thread-major.
-
-    Sequential unrolling is one valid lock-free execution (every store
-    survives); thread h always consumes its own stream, so the schedule
-    does not change what is sampled. Thread h's B steps take their
-    indices from one pass_indices draw, equal to B draw_indices calls
-    on substream(seed, ROLE_SAMPLE, w, h, pass_idx).
-    """
-    u = v.copy()
-    size = cfg.problem.batch_size
-    for h in range(cfg.p):
-        draws = pass_indices(cfg.seed, w, h, pass_idx, oracle.n, cfg.B * size)
-        for idx in step_indices(draws, size):
-            g = np.asarray(oracle.grad_at(idx, u), dtype=float)
-            check_finite(g, "local gradient")
-            u -= cfg.eta * g
-    return u - v
-
-
-def _stacked_deltas(cfg: RunConfig, oracle, group: list[_Push],
+def _stacked_deltas(cfg: RunConfig, grad_stack, n: int, group: list[_Push],
                     v: np.ndarray) -> np.ndarray | None:
     """The K passes of group, all based on v, stepped together.
 
-    Row k is bitwise _compute_pass of pass k: the same streams and
-    draws, and grad_stack row k equals grad_at on that row, taken in
-    the same thread-major step order. None if a step's gradient is not
-    finite, so the caller can replay the group pass by pass and raise
-    the error of the first failing pass.
+    Local threads are unrolled thread-major, one valid lock-free execution
+    (every store survives). Thread h's B steps take their indices from one
+    pass_indices draw on its own stream, substream(seed, ROLE_SAMPLE, w, h,
+    pass_idx), so the schedule does not change what is sampled.
+    grad_stack(idx, X) returns one gradient row per row of X. A non-finite
+    gradient raises at once in a group of one; a larger group returns None,
+    and the caller reruns it as groups of one.
     """
     size = cfg.problem.batch_size
-    seed, n, count = cfg.seed, oracle.n, cfg.B * size
+    seed, count = cfg.seed, cfg.B * size
     idx = np.stack([
         pass_indices(seed, push.worker_id, h, push.pass_idx, n, count)
         for push in group
@@ -100,8 +82,10 @@ def _stacked_deltas(cfg: RunConfig, oracle, group: list[_Push],
     U = np.repeat(v[None, :], len(group), axis=0)
     for h in range(cfg.p):
         for b in range(cfg.B):
-            G = oracle.grad_stack(idx[:, h, b], U)
+            G = grad_stack(idx[:, h, b], U)
             if not np.isfinite(G).all():
+                if len(group) == 1:
+                    check_finite(G[0], "local gradient")
                 return None
             U -= cfg.eta * G
     return U - v
@@ -110,14 +94,18 @@ def _stacked_deltas(cfg: RunConfig, oracle, group: list[_Push],
 def _compute_group(cfg: RunConfig, oracle, group: list[_Push],
                    v: np.ndarray) -> None:
     """Set the delta of every pass in group, all based on model v."""
+    grad_stack = getattr(oracle, "grad_stack", None)
     deltas = None
-    if hasattr(oracle, "grad_stack"):
-        deltas = _stacked_deltas(cfg, oracle, group, v)
+    if grad_stack is None:
+        def grad_stack(idx, X):
+            return np.asarray(oracle.grad_at(idx[0], X[0]), dtype=float)[None, :]
+    else:
+        deltas = _stacked_deltas(cfg, grad_stack, oracle.n, group, v)
     if deltas is None:
-        # pull order, as computing each pass at its pull would call the
-        # oracle (stateful oracles, such as gridworld's episode log, see
-        # the same call sequence)
-        deltas = [_compute_pass(cfg, oracle, push.worker_id, push.pass_idx, v)
+        # groups of one in pull order, as computing each pass at its pull
+        # would call the oracle (stateful oracles, such as gridworld's
+        # episode log, see the same call sequence)
+        deltas = [_stacked_deltas(cfg, grad_stack, oracle.n, [push], v)[0]
                   for push in group]
     for push, delta in zip(group, deltas):
         push.delta = delta
@@ -157,18 +145,20 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
     bound = cfg.delay.d_prime_bound
     base_dur = cfg.B * cfg.compute_cost_s  # p threads overlap
     evals_per_pass = cfg.Btilde
-    batch: list[_Push] = []  # delivered and kept, not yet applied
-    pending: list[_Push] = []  # block: delivered, waiting for the gate
+    pending: list[_Push] = []  # delivered and kept, not yet applied
     deferred: list[_Push] = []  # pulled passes, all based on master.version
     # block: the base of worker w's one unapplied push, None when it has none
     unapplied: list[int | None] = [None] * cfg.nW
     pass_counter = [0] * cfg.nW
 
     events: list[tuple] = []
-    seq = 0
+    seq = itertools.count()  # ties at equal (time, kind) go in scheduling order
+
+    def schedule(at: float, kind: int, w: int, push: _Push | None = None) -> None:
+        heapq.heappush(events, (at, kind, next(seq), w, push))
+
     for w in range(cfg.nW):
-        heapq.heappush(events, (0.0, _PULL, seq, w, None))
-        seq += 1
+        schedule(0.0, _PULL, w)
 
     def gate_open(batch: list[_Push]) -> bool:
         # block policy: advancing to version+1 must leave every not-yet
@@ -184,47 +174,40 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             _compute_group(cfg, oracle, deferred, master.model.values)
             deferred.clear()
 
-    def apply_batch(batch: list[_Push], now: float) -> None:
-        nonlocal seq
-        compute_deferred()  # the last moment the model is their base
-        master.apply([UpdateVector._adopt(push.delta, push.base_version,
-                                          push.worker_id) for push in batch],
-                     now)
-        if block:
-            for push in batch:
-                unapplied[push.worker_id] = None
-                # the worker was waiting for this apply; it resumes now
-                heapq.heappush(events, (now, _PULL, seq, push.worker_id, None))
-                seq += 1
-
-    def apply_blocked(now: float) -> None:
+    def apply_ready(now: float) -> None:
+        # first come first served; block takes the M oldest bases instead,
+        # and only once the gate lets the version advance
         while master.version < cfg.T and len(pending) >= cfg.M:
-            batch = sorted(
-                pending, key=lambda push: (push.base_version, push.worker_id)
-            )[: cfg.M]
-            if not gate_open(batch):
-                return
-            if max(master.version - push.base_version for push in batch) > bound:
-                raise TransportError(
-                    "staleness gate invariant broken: batch member exceeds bound"
-                )
-            for push in batch:
-                pending.remove(push)
-            apply_batch(batch, now)
+            if block:
+                batch = sorted(pending, key=lambda q: (q.base_version,
+                                                       q.worker_id))[: cfg.M]
+                if not gate_open(batch):
+                    return
+                if max(master.version - q.base_version for q in batch) > bound:
+                    raise TransportError("staleness gate invariant broken: "
+                                         "batch member exceeds bound")
+                for push in batch:
+                    pending.remove(push)
+            else:
+                batch = pending[: cfg.M]
+                del pending[: cfg.M]
+            compute_deferred()  # the last moment the model is their base
+            master.apply([UpdateVector._adopt(push.delta, push.base_version,
+                                              push.worker_id)
+                          for push in batch], now)
+            if block:
+                for push in batch:
+                    unapplied[push.worker_id] = None
+                    # the worker was waiting for this apply; it resumes now
+                    schedule(now, _PULL, push.worker_id)
 
     while events and master.version < cfg.T:
         now, kind, _, w, push = heapq.heappop(events)
         if kind == _DELIVER:
-            if not master.receive(push.base_version, w):
-                continue
-            if block:
+            if master.receive(push.base_version, w):
                 pending.append(push)
-                apply_blocked(now)
-                continue
-            batch.append(push)
-            if len(batch) == cfg.M:
-                apply_batch(batch, now)
-                batch = []
+                if len(pending) >= cfg.M:
+                    apply_ready(now)
         else:
             # serve a model pull and schedule the pass; its delta waits
             # for the apply that leaves this version
@@ -232,18 +215,15 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             pass_idx = pass_counter[w]
             pass_counter[w] += 1
             counters.gradient_evals_computed += evals_per_pass
-            base = master.version
+            push = _Push(w, master.version, pass_idx)
             if block:
-                unapplied[w] = base
-            push = _Push(w, base, pass_idx)
+                unapplied[w] = push.base_version
             deferred.append(push)
             extra, transit = pass_delays(cfg, w, pass_idx)
             dur = base_dur + extra
-            heapq.heappush(events, (now + dur + transit, _DELIVER, seq, w, push))
-            seq += 1
+            schedule(now + dur + transit, _DELIVER, w, push)
             if not block:
-                heapq.heappush(events, (now + dur, _PULL, seq, w, None))
-                seq += 1
+                schedule(now + dur, _PULL, w)
 
     if master.version < cfg.T:
         compute_deferred()  # a failing pass raises its own error first

@@ -126,15 +126,13 @@ class Connection:
         self.unsent = self.unsent[sent:]
 
 
-def read_frame(conn: Connection, allow_eof: bool = False):
-    """The next (msg_type, decoded payload) on conn; None on a clean EOF."""
+def read_frame(conn: Connection):
+    """The next (msg_type, decoded payload) on conn."""
     while True:
         got = conn.next_frame()
         if got is not None:
             return got
         if not conn.recv():
-            if allow_eof and not conn.pending:
-                return None
             raise TransportError(
                 f"connection closed mid-frame ({conn.pending} bytes in)"
             )
@@ -330,22 +328,22 @@ class TcpMasterServer(Mailbox):
             self._listener.close()
 
 
-def connect_with_retries(address: tuple[str, int], attempts: int = 40,
-                         wait_s: float = 0.25) -> socket.socket:
+def connect_with_retries(address: tuple[str, int]) -> socket.socket:
+    """A TCP_NODELAY socket to the master: 40 tries, 0.25 s apart."""
     last: Exception | None = None
-    for _ in range(attempts):
+    for _ in range(40):
         try:
             sock = socket.create_connection(address, timeout=30.0)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return sock
         except OSError as exc:
             last = exc
-            time.sleep(wait_s)
+            time.sleep(0.25)
     raise TransportError(f"could not reach master at {address}: {last}")
 
 
 def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
-                   worker_id: int, attempts: int = 40) -> int:
+                   worker_id: int) -> int:
     """Pull/compute/push against a remote master until SHUTDOWN.
 
     A pass's PUSH goes out in the same send as the next PULL_REQ, so a
@@ -355,7 +353,7 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
     here. Returns the number of completed passes.
     """
     cfg.check_runtime("tcp")
-    conn = Connection(connect_with_retries(address, attempts=attempts))
+    conn = Connection(connect_with_retries(address))
     held: list[bytes] = []  # the last pass's PUSH frame
 
     def pull():

@@ -126,7 +126,7 @@ def run_local_pass(
     worker_id: int,
     pass_idx: int,
     local: LocalThreads,
-) -> int:
+) -> None:
     """One worker pass: p local threads take B lock-free steps each.
 
     Local thread h's B steps take their indices from one pass_indices
@@ -135,7 +135,6 @@ def run_local_pass(
     start. The threads run on local, the worker's LocalThreads (h = 0 in
     the calling thread). An error in any local thread is raised here
     once all p have stopped.
-    Returns the gradient evaluations made, p * B.
     """
     size = cfg.problem.batch_size
     steps = [step_indices(pass_indices(cfg.seed, worker_id, h, pass_idx,
@@ -150,7 +149,6 @@ def run_local_pass(
             slab.write_step(g, cfg.eta)
 
     local.run(thread_body)
-    return cfg.p * cfg.B
 
 
 def worker_loop(cfg: RunConfig, oracle, worker_id: int, pull, push,

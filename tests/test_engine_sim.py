@@ -337,6 +337,31 @@ def test_stacked_oracle_call_budget():
     assert res.counters.gradient_evals_computed > oracle.grad_stack_calls
 
 
+def test_pass_by_pass_oracle_call_budget(monkeypatch):
+    # the benchmark's sim-sigmoid shape seen without grad_stack: every
+    # computed pass makes exactly p * B grad_at calls; counts only, never
+    # time
+    calls = recorded_pass_draws(monkeypatch)
+    cfg = RunConfig(
+        T=200, M=2, nW=4, p=2, B=2, eta=0.05,
+        rho_schedule={"kind": "constant", "value": 0.5},
+        seed=1,
+        problem=ProblemSpec(name="sigmoid", n=2000, dim=20, batch_size=4),
+        execution="simulated",
+        compute_cost_s=1e-3,
+        delay=DelayModel(kind="uniform", low=0.0, high=4e-3,
+                         d_prime_bound=4, enforce="drop"),
+        grad_norm_every=10,
+    )
+    oracle = CountingOracle(build_oracle(cfg.problem, cfg.seed))
+    res = run_with_oracle(cfg, PerPass(oracle))
+    computed = [(w, c) for role, (w, h, c) in
+                ((r, k) for r, k in calls if r == ROLE_SAMPLE) if h == 0]
+    assert len(set(computed)) == len(computed) >= res.version * cfg.M
+    assert oracle.grad_stack_calls == 0
+    assert oracle.grad_at_calls == cfg.p * cfg.B * len(computed)
+
+
 def recorded_seed_sequences(monkeypatch):
     """The entropy of every SeedSequence that substream builds."""
     built = []
