@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..engine import RunConfig, rescale_rate, run
-from ..engine.config import load_json_object
+from ..engine.config import build_section, load_json_object
 from ..errors import ConfigurationError, DpsgdError
 from .metrics import SUMMARY_SCHEMA, emit_run, write_summary_json
 
@@ -147,16 +147,10 @@ class ExperimentSpec:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentSpec":
         data = dict(raw)
-        known = set(ExperimentSpec.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown experiment fields: {sorted(unknown)}"
-            )
         if "base" not in data:
             raise ConfigurationError("experiment spec needs a 'base' config")
         data["base"] = RunConfig.from_dict(data["base"])
-        spec = ExperimentSpec(**data)
+        spec = build_section(ExperimentSpec, data, "experiment")
         spec.validate()
         return spec
 

@@ -56,8 +56,9 @@ class DelayModel:
             )
         if self.latency < 0 or self.low < 0 or self.jitter < 0:
             raise ConfigurationError("latencies must be non-negative")
-        if self.kind == "uniform" and self.high < self.low:
-            raise ConfigurationError("uniform delay needs high >= low")
+        if self.kind in ("uniform", "seeded-jitter") and self.high < self.low:
+            # both draw the transit from [low, high) (sim.pass_delays)
+            raise ConfigurationError(f"{self.kind} delay needs high >= low")
         if self.enforce != "off" and self.d_prime_bound is None:
             raise ConfigurationError(
                 f"enforce={self.enforce!r} requires d_prime_bound"
@@ -268,17 +269,11 @@ class RunConfig:
     @staticmethod
     def from_dict(raw: dict[str, Any]) -> "RunConfig":
         data = dict(raw)
-        known = set(RunConfig.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-        if "delay" in data and isinstance(data["delay"], dict):
-            data["delay"] = _build(DelayModel, data["delay"], "delay")
-        if "problem" in data and isinstance(data["problem"], dict):
-            data["problem"] = _build(ProblemSpec, data["problem"], "problem")
-        if "theory" in data and isinstance(data["theory"], dict):
-            data["theory"] = _build(TheoryParams, data["theory"], "theory")
-        cfg = RunConfig(**data)
+        for name, section in (("delay", DelayModel), ("problem", ProblemSpec),
+                              ("theory", TheoryParams)):
+            if isinstance(data.get(name), dict):
+                data[name] = build_section(section, data[name], name)
+        cfg = build_section(RunConfig, data, "config")
         cfg.validate()
         return cfg
 
@@ -302,9 +297,10 @@ def load_json_object(path, label: str = "config") -> dict[str, Any]:
     return raw
 
 
-def _build(cls, data: dict[str, Any], label: str):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(data) - known
+def build_section(cls, data: dict[str, Any], label: str):
+    """cls(**data) for a config section read from JSON; ConfigurationError
+    names the label on unknown fields or arguments cls refuses."""
+    unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigurationError(f"unknown {label} fields: {sorted(unknown)}")
     try:

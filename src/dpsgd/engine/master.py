@@ -6,7 +6,7 @@ metrics series. The simulator drives it on virtual time; the threaded
 and TCP runtimes drive it in threaded.run_workers, on the pushes a
 Mailbox delivers. A Mailbox holds the published model, which workers
 pull, and the pushes on their way to the master, each released at its
-due time.
+due time by serve(), the one wait loop of both real runtimes.
 """
 from __future__ import annotations
 
@@ -135,9 +135,12 @@ class Mailbox:
     One Condition guards both. A push becomes deliverable transit_s after
     push() is called; next_delivery() returns deliverable pushes earliest
     due first, ties in push order. Transit therefore delays only the
-    delivery, never the pushing worker. Constructing a mailbox rejects a
-    config its runtime cannot honour (RunConfig.check_runtime), before
-    any worker thread starts or socket binds.
+    delivery, never the pushing worker. next_delivery and a TCP drain run
+    serve(), the one wait loop; a subclass changes only how it waits
+    (_wait), as the TCP server answers its sockets. Constructing a
+    mailbox rejects a config its runtime cannot honour
+    (RunConfig.check_runtime), before any worker thread starts or socket
+    binds.
     """
 
     def __init__(self, cfg: RunConfig, initial: np.ndarray,
@@ -174,6 +177,35 @@ class Mailbox:
             self._seq += 1
             self._cv.notify()
 
+    def serve(self, until, deadline: float, abort_check=None) -> bool:
+        """Wait until until() holds or time.monotonic() reaches deadline;
+        returns whether until() held.
+
+        The lock is held throughout except inside _wait. Each wait ends at
+        the earliest due push, after 50 ms, or at the deadline, so until()
+        and abort_check() are called at least that often.
+        """
+        with self._cv:
+            while True:
+                if abort_check is not None:
+                    abort_check()
+                if until():
+                    return True
+                now = time.monotonic()
+                if now >= deadline:
+                    return False
+                wait = min(_ABORT_POLL_S, deadline - now)
+                if self._pending:
+                    wait = max(0.0, min(wait, self._pending[0][0] - now))
+                self._wait(wait)
+
+    def _wait(self, seconds: float) -> None:
+        """Release the lock for up to seconds; a push ends it early."""
+        self._cv.wait(seconds)
+
+    def _due(self) -> bool:
+        return bool(self._pending) and self._pending[0][0] <= time.monotonic()
+
     def next_delivery(self, timeout: float = _QUEUE_TIMEOUT_S,
                       abort_check=None) -> UpdateVector:
         """The next due push; raises TransportError if none is due in time.
@@ -181,21 +213,10 @@ class Mailbox:
         abort_check(), when given, is called at least every 50 ms while
         waiting, so a failed worker can end the wait.
         """
-        deadline = time.monotonic() + timeout
+        if not self.serve(self._due, time.monotonic() + timeout, abort_check):
+            raise TransportError("master starved: no push arrived in time")
         with self._cv:
-            while True:
-                if abort_check is not None:
-                    abort_check()
-                now = time.monotonic()
-                if self._pending and self._pending[0][0] <= now:
-                    return heapq.heappop(self._pending)[2]
-                if now >= deadline:
-                    raise TransportError(
-                        "master starved: no push arrived in time")
-                wait = min(_ABORT_POLL_S, deadline - now)
-                if self._pending:
-                    wait = min(wait, self._pending[0][0] - now)
-                self._cv.wait(wait)
+            return heapq.heappop(self._pending)[2]
 
     def drain(self, until, deadline: float) -> None:
         """Serve the workers after stop until until() holds (every local

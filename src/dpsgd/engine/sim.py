@@ -54,12 +54,6 @@ class _Push:
     delta: np.ndarray | None = None  # set at the apply leaving base_version
 
 
-def step_indices(draws: np.ndarray, size: int):
-    """One local thread's pass draws split into its steps' indices:
-    Python ints at size 1, else the rows of a (B, size) view."""
-    return draws.tolist() if size == 1 else draws.reshape(-1, size)
-
-
 def _stacked_deltas(cfg: RunConfig, grad_stack, n: int, group: list[_Push],
                     v: np.ndarray) -> np.ndarray | None:
     """The K passes of group, all based on v, stepped together.

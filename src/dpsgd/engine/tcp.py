@@ -13,14 +13,15 @@ server binds or a worker connects: the simulated-only settings, and
 overwrite traces, which do not cross the wire.
 
 The server starts no thread. Its listener and its connections are
-non-blocking and sit in one selector, and serve() is the one loop that
-answers them: the master's own thread runs it inside next_delivery while
-it waits for a due push, and again in the drain. Each readiness event
-takes one recv into the connection's buffer and answers every whole
-frame in it. A reply that does not fit the socket is kept, and its
-connection is polled for write only until the reply is sent, so a peer
-that does not read costs one reply of memory and half a frame never
-blocks an apply.
+non-blocking and sit in one selector. It differs from the in-process hub
+only in how it waits: the mailbox's wait loop, serve(), runs in the
+master's own thread inside next_delivery and again in the drain, and
+each wait (_wait) releases the mailbox lock and answers the sockets.
+Each readiness event takes one recv into the connection's buffer and
+answers every whole frame in it. A reply that does not fit the socket
+is kept, and its connection is polled for write only until the reply is
+sent, so a peer that does not read costs one reply of memory and half a
+frame never blocks an apply.
 
 Both roles run threaded.run_workers: run_tcp with its nW worker threads,
 run_tcp_master with none. After the last apply the server drains: it
@@ -37,7 +38,6 @@ mid-frame is dropped without being counted.
 """
 from __future__ import annotations
 
-import heapq
 import selectors
 import socket
 import time
@@ -47,7 +47,7 @@ import numpy as np
 from ..core import UpdateVector
 from ..errors import TransportError, WireProtocolError
 from .config import RunConfig
-from .master import _ABORT_POLL_S, _QUEUE_TIMEOUT_S, Mailbox
+from .master import Mailbox
 from .result import RunResult
 from .sim import pass_delays
 from .threaded import run_workers, worker_loop
@@ -160,8 +160,9 @@ class TcpMasterServer(Mailbox):
 
     start() binds a non-blocking listener into one selector and starts no
     thread. threaded.run_workers then runs the master against this
-    mailbox, whose next_delivery serves the sockets while it waits, and
-    finally calls broadcast_stop(), drain() and close().
+    mailbox, whose inherited next_delivery serves the sockets while it
+    waits, and finally calls broadcast_stop(), drain() and close(). Of
+    the Mailbox methods it overrides only _wait, drain and close.
     """
 
     def __init__(self, cfg: RunConfig, initial: np.ndarray,
@@ -199,40 +200,19 @@ class TcpMasterServer(Mailbox):
         self._selector = selectors.DefaultSelector()
         self._selector.register(listener, selectors.EVENT_READ)
 
-    def serve(self, until, deadline: float, abort_check=None) -> bool:
-        """Answer the sockets until until() holds or time.monotonic()
-        reaches deadline; returns whether until() held.
-
-        Each wait ends at the earliest due push, after 50 ms, or at the
-        deadline, so until() and abort_check() are called at least that
-        often.
-        """
-        while True:
-            if abort_check is not None:
-                abort_check()
-            if until():
-                return True
-            now = time.monotonic()
-            if now >= deadline:
-                return False
-            wait = min(_ABORT_POLL_S, deadline - now)
-            if self._pending:
-                wait = max(0.0, min(wait, self._pending[0][0] - now))
-            for key, events in self._selector.select(wait):
+    def _wait(self, seconds: float) -> None:
+        """Answer the sockets for up to seconds, without the lock: the
+        handlers take it to pull and push, and publish() from another
+        thread is never held up by a select."""
+        self._cv.release()
+        try:
+            for key, events in self._selector.select(seconds):
                 if key.data is None:
                     self._accept()
                 else:
                     self._serve_conn(key.data, events)
-
-    def _due(self) -> bool:
-        return bool(self._pending) and self._pending[0][0] <= time.monotonic()
-
-    def next_delivery(self, timeout: float = _QUEUE_TIMEOUT_S,
-                      abort_check=None) -> UpdateVector:
-        """The next due push, serving the sockets until one is due."""
-        if not self.serve(self._due, time.monotonic() + timeout, abort_check):
-            raise TransportError("master starved: no push arrived in time")
-        return heapq.heappop(self._pending)[2]
+        finally:
+            self._cv.acquire()
 
     def drain(self, until, deadline: float) -> None:
         """Serve, SHUTDOWN to every pull once stopped, until until() holds
@@ -383,26 +363,26 @@ def run_tcp_worker(cfg: RunConfig, oracle, address: tuple[str, int],
 
 
 def run_tcp_master(cfg: RunConfig, oracle, init,
-                   host: str = "127.0.0.1", port: int = 0,
                    server: TcpMasterServer | None = None) -> RunResult:
     """Serve a full run over TCP; workers connect from elsewhere.
 
-    Starts a server on host:port unless given one, and closes it either
-    way. Returns once the drain has seen every connection close, so
-    every worker has had its SHUTDOWN.
+    Starts a server on a free localhost port unless given one (a master
+    on a chosen address is TcpMasterServer(cfg, init, host, port), as
+    --listen builds it), and closes it either way. Returns once the
+    drain has seen every connection close, so every worker has had its
+    SHUTDOWN.
     """
     init = np.asarray(init, dtype=float)
     if server is None:
-        server = TcpMasterServer(cfg, init, host=host, port=port)
+        server = TcpMasterServer(cfg, init)
         server.start()
     return run_workers(cfg, oracle, init, server, None, "tcp")
 
 
-def run_tcp(cfg: RunConfig, oracle, init=None,
-            host: str = "127.0.0.1", port: int = 0) -> RunResult:
+def run_tcp(cfg: RunConfig, oracle, init=None) -> RunResult:
     """All-in-one localhost run: master here, nW worker threads over TCP."""
     init = np.zeros(oracle.dim) if init is None else np.asarray(init, float)
-    server = TcpMasterServer(cfg, init, host=host, port=port)
+    server = TcpMasterServer(cfg, init)
     server.start()
 
     def work(w: int) -> None:

@@ -27,7 +27,7 @@ from .config import RunConfig
 from .master import Mailbox, Master
 from .result import RunResult, TraceBundle
 from .rng import pass_indices
-from .sim import pass_delays, step_indices
+from .sim import pass_delays
 
 _TRACE_JITTER_S = 2e-4
 _JOIN_TIMEOUT_S = 30.0  # for all of a run's workers to stop after the last apply
@@ -129,16 +129,17 @@ def run_local_pass(
 ) -> None:
     """One worker pass: p local threads take B lock-free steps each.
 
-    Local thread h's B steps take their indices from one pass_indices
-    draw, equal to B draw_indices calls on substream(seed, ROLE_SAMPLE,
-    worker_id, h, pass_idx); all p draws are taken before the threads
-    start. The threads run on local, the worker's LocalThreads (h = 0 in
-    the calling thread). An error in any local thread is raised here
-    once all p have stopped.
+    Local thread h's steps take their indices from the rows of one
+    pass_indices draw shaped (B, batch_size), at every batch size, as the
+    simulator steps a pass; row b equals the b-th of B draw_indices calls
+    on substream(seed, ROLE_SAMPLE, worker_id, h, pass_idx). All p draws
+    are taken before the threads start. The threads run on local, the
+    worker's LocalThreads (h = 0 in the calling thread). An error in any
+    local thread is raised here once all p have stopped.
     """
     size = cfg.problem.batch_size
-    steps = [step_indices(pass_indices(cfg.seed, worker_id, h, pass_idx,
-                                       oracle.n, cfg.B * size), size)
+    steps = [pass_indices(cfg.seed, worker_id, h, pass_idx, oracle.n,
+                          cfg.B * size).reshape(cfg.B, size)
              for h in range(cfg.p)]
 
     def thread_body(h: int) -> None:

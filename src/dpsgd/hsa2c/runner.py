@@ -217,18 +217,16 @@ def reference_a2c(
     rho,
     seed: int,
     t_max: int = 20,
-    params0: ActorCriticParams | None = None,
 ) -> tuple[ActorCriticParams, GridworldOracle]:
-    """Single-stream A2C mirroring the degenerate engine configuration.
+    """Single-stream A2C from zero parameters, mirroring the degenerate
+    engine configuration.
 
     Uses the same index substream, episode seeding, and floating-point
     update order as the engine with nW = p = B = M = 1, so results agree
     bitwise with run_hsa2c under that shape.
     """
-    if params0 is None:
-        params0 = ActorCriticParams.zeros(env.n_states)
     oracle = GridworldOracle(env, seed, t_max=t_max)
-    v = params0.to_vector()
+    v = ActorCriticParams.zeros(env.n_states).to_vector()
     for t in range(T):
         idx = pass_indices(seed, 0, 0, t, oracle.n, m)
         g = np.asarray(oracle.grad_at(idx, v), dtype=float)

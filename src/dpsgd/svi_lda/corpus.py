@@ -12,6 +12,11 @@ import numpy as np
 
 from ..errors import ConfigurationError, CorpusFormatError
 
+# synthetic_corpus: Dirichlet concentration of each document's topic
+# mix, and the probability mass a topic spreads over the whole vocabulary
+TOPIC_CONCENTRATION = 0.3
+BACKGROUND_MASS = 0.05
+
 
 @dataclass(frozen=True)
 class Document:
@@ -134,12 +139,10 @@ def synthetic_corpus(
     k_topics: int,
     seed: int,
     doc_length: tuple[int, int] = (40, 80),
-    topic_concentration: float = 0.3,
-    background_mass: float = 0.05,
 ) -> tuple[Corpus, np.ndarray]:
     """Documents drawn from k planted topics with block support.
 
-    Topic k concentrates (1 - background_mass) of its probability on its
+    Topic k concentrates (1 - BACKGROUND_MASS) of its probability on its
     own contiguous vocabulary block, which keeps the topics far apart and
     makes recovery measurable. Returns (corpus, true topic rows).
     """
@@ -148,20 +151,20 @@ def synthetic_corpus(
             "need k_topics >= 1 and vocab_size >= k_topics and n_docs >= 1"
         )
     rng = np.random.default_rng(seed)
-    topics = np.full((k_topics, vocab_size), background_mass / vocab_size)
+    topics = np.full((k_topics, vocab_size), BACKGROUND_MASS / vocab_size)
     block = vocab_size // k_topics
     for k in range(k_topics):
         lo = k * block
         hi = vocab_size if k == k_topics - 1 else (k + 1) * block
         weights = rng.random(hi - lo) + 0.5
         weights /= weights.sum()
-        topics[k, lo:hi] += (1.0 - background_mass) * weights
+        topics[k, lo:hi] += (1.0 - BACKGROUND_MASS) * weights
     topics /= topics.sum(axis=1, keepdims=True)
 
     docs = []
     lo_len, hi_len = doc_length
     for _ in range(n_docs):
-        theta = rng.dirichlet(np.full(k_topics, topic_concentration))
+        theta = rng.dirichlet(np.full(k_topics, TOPIC_CONCENTRATION))
         n_tokens = int(rng.integers(lo_len, hi_len + 1))
         z = rng.choice(k_topics, size=n_tokens, p=theta)
         counts = np.zeros(vocab_size, dtype=np.int64)

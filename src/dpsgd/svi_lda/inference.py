@@ -222,18 +222,13 @@ def natural_gradient(
     return model.lam - lam_hat
 
 
-def perplexity(
-    model: LdaModel,
-    held_out: Corpus,
-    tol: float = E_STEP_TOL,
-    max_iters: int = E_STEP_MAX_ITERS,
-) -> float:
+def perplexity(model: LdaModel, held_out: Corpus) -> float:
     """Geometric mean of inverse per-word predictive probability.
 
-    The held-out documents get a fresh E-step, all in one estep_docs
-    call; a word's probability is the posterior-mean mixture
-    sum_k thetabar_k betabar_kw. A model with every topic uniform over
-    the vocabulary scores exactly V_vocab.
+    The held-out documents get a fresh E-step (E_STEP_TOL,
+    E_STEP_MAX_ITERS), all in one estep_docs call; a word's probability
+    is the posterior-mean mixture sum_k thetabar_k betabar_kw. A model
+    with every topic uniform over the vocabulary scores exactly V_vocab.
     """
     if held_out.n_docs == 0:
         raise ConfigurationError("perplexity needs a nonempty held-out corpus")
@@ -241,7 +236,7 @@ def perplexity(
     if not docs:
         raise ConfigurationError("held-out corpus has no tokens")
     beta_bar = model.mean_beta()
-    states = estep_docs(model, docs, tol, max_iters)
+    states = estep_docs(model, docs)
     total_ll = 0.0
     total_tokens = 0
     for doc, state in zip(docs, states):

@@ -94,8 +94,6 @@ def serial_svi(
     G: int,
     rho,
     seed: int,
-    tol: float = E_STEP_TOL,
-    max_iters: int = E_STEP_MAX_ITERS,
     heldout: Corpus | None = None,
     eval_every: int = 0,
 ) -> tuple[LdaModel, list[tuple[float, int, float]]]:
@@ -114,7 +112,7 @@ def serial_svi(
         idx = pass_indices(seed, 0, 0, t, corpus.n_docs, G)
         model = model0.with_lambda(lam)
         batch = [corpus.docs[j] for j in idx]
-        states = estep_docs(model, batch, tol, max_iters)
+        states = estep_docs(model, batch)
         g = natural_gradient(model, batch, states)
         u = lam.copy()
         u -= 1.0 * g

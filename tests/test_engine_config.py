@@ -143,6 +143,19 @@ def test_delay_model_validation():
         DelayModel(d_prime_bound=-1).validate()
 
 
+def test_seeded_jitter_transit_needs_high_at_least_low():
+    # seeded-jitter draws its transit from [low, high) as uniform does, so
+    # high < low would give negative transits and a clock that runs back
+    bad = DelayModel(kind="seeded-jitter", low=0.0, high=-0.5, jitter=1e-3)
+    with pytest.raises(ConfigurationError,
+                       match="seeded-jitter delay needs high >= low"):
+        bad.validate()
+    with pytest.raises(ConfigurationError, match="high >= low"):
+        RunConfig(delay=bad, compute_cost_s=1e-3).validate()
+    DelayModel(kind="seeded-jitter", low=1e-3, high=1e-3,
+               jitter=1e-3).validate()
+
+
 def test_block_policy_shape_constraints():
     blocked = DelayModel(kind="uniform", high=1e-3,
                          d_prime_bound=1, enforce="block")

@@ -27,7 +27,6 @@ from dpsgd.engine.rng import (
     pass_indices,
     pass_uniforms,
 )
-from dpsgd.engine.sim import step_indices
 from dpsgd.errors import ConfigurationError
 
 
@@ -298,18 +297,16 @@ def test_one_pass_draw_equals_per_step_draws(n, size, steps):
     for pass_idx in range(4):
         draws = pass_indices(9, 1, 0, pass_idx, n, steps * size)
         each = substream(9, ROLE_SAMPLE, 1, 0, pass_idx)
-        got = list(step_indices(draws, size))
-        want = [draw_indices(each, n, size) for _ in range(steps)]
+        # a local thread's steps are the rows of its pass draw
+        got = draws.reshape(steps, size)
+        want = [np.atleast_1d(draw_indices(each, n, size))
+                for _ in range(steps)]
         assert len(got) == steps
         for g, w in zip(got, want):
-            assert type(g) is type(w)
-            if size == 1:
-                assert g == w
-            else:
-                assert g.dtype == w.dtype and np.array_equal(g, w)
-                # rows of the draw table are read-only; n >= 2**32 falls
-                # back to numpy's own array
-                assert g.flags.writeable == (n >= 2**32)
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+            # rows of the draw table are read-only; n >= 2**32 falls
+            # back to numpy's own array
+            assert g.flags.writeable == (n >= 2**32)
 
 
 def _numpy_pass_draws(seed, w, h, c, n, count):
