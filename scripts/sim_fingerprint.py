@@ -10,10 +10,12 @@ pointing PYTHONPATH at that checkout's sources, and diff the outputs:
 
 Each stdout line names a run and digests its final vector, MetricsSeries
 rows, counters and the applied and received staleness histograms; an
-apps-a2c line also digests its oracle's env_steps and episode_returns. The
-wall time of each run goes to stderr, so it stays out of the diff. The
-sim-sigmoid and apps runs use the benchmark's own configs
-(perfbench/workloads.py); the others are written out below.
+apps-a2c line also digests its oracle's env_steps and episode_returns. A
+corpus line digests the apps workload's synthetic corpus for that seed:
+its true topics and the bytes of every document's word ids and counts,
+dtypes included. The wall time of each run goes to stderr, so it stays
+out of the diff. The sim-sigmoid and apps runs use the benchmark's own
+configs (perfbench/workloads.py); the others are written out below.
 """
 import argparse
 import dataclasses
@@ -33,10 +35,10 @@ from dpsgd.engine import (
     run_with_oracle,
 )
 from dpsgd.hsa2c import run_hsa2c
-from dpsgd.svi_lda import run_dpsvi
+from dpsgd.svi_lda import run_dpsvi, synthetic_corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+from workloads import LDA_DOCS, LDA_K, LDA_V, WORKLOADS  # noqa: E402
 
 
 def _quad(**overrides) -> RunConfig:
@@ -123,6 +125,16 @@ def fingerprint(name: str, res) -> str:
             f"hists={_digest(hists)}")
 
 
+def corpus_fingerprint(name: str, corpus, topics) -> str:
+    docs = hashlib.sha256()
+    for doc in corpus.docs:
+        for arr in (doc.word_ids, doc.counts):
+            docs.update(arr.dtype.str.encode())
+            docs.update(arr.tobytes())
+    return (f"{name} topics={_digest(topics)} "
+            f"docs={docs.hexdigest()[:16]}")
+
+
 def _timed(name: str, fn):
     start = time.perf_counter()
     out = fn()
@@ -138,6 +150,10 @@ def main(argv=None) -> int:
         print(fingerprint(name, res), flush=True)
     apps = WORKLOADS["apps"]
     for seed in (1, 2, 3):
+        corpus, topics = _timed(f"corpus/seed{seed}", lambda: synthetic_corpus(
+            LDA_DOCS, LDA_V, LDA_K, seed=seed))
+        print(corpus_fingerprint(f"corpus/seed{seed}", corpus, topics),
+              flush=True)
         ctx = apps.setup(seed)
         _, lda = _timed(f"apps-lda/seed{seed}", lambda: run_dpsvi(
             ctx["lda_cfg"], ctx["model0"], ctx["train"]))

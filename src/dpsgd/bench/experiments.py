@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..engine import RunConfig, rescale_rate, run
-from ..engine.config import build_section, load_json_object
+from ..engine.config import build_section, load_json_object, require_object
 from ..errors import ConfigurationError, DpsgdError
 from .metrics import SUMMARY_SCHEMA, emit_run, write_summary_json
 
@@ -149,7 +149,7 @@ class ExperimentSpec:
         data = dict(raw)
         if "base" not in data:
             raise ConfigurationError("experiment spec needs a 'base' config")
-        data["base"] = RunConfig.from_dict(data["base"])
+        data["base"] = RunConfig.from_dict(require_object(data["base"], "base"))
         spec = build_section(ExperimentSpec, data, "experiment")
         spec.validate()
         return spec

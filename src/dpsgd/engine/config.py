@@ -268,10 +268,11 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict[str, Any]) -> "RunConfig":
-        data = dict(raw)
+        data = dict(require_object(raw, "config"))
         for name, section in (("delay", DelayModel), ("problem", ProblemSpec),
                               ("theory", TheoryParams)):
-            if isinstance(data.get(name), dict):
+            # a null theory is the default: no theory params
+            if name in data and not (name == "theory" and data[name] is None):
                 data[name] = build_section(section, data[name], name)
         cfg = build_section(RunConfig, data, "config")
         cfg.validate()
@@ -297,10 +298,20 @@ def load_json_object(path, label: str = "config") -> dict[str, Any]:
     return raw
 
 
-def build_section(cls, data: dict[str, Any], label: str):
+def require_object(data, label: str) -> dict[str, Any]:
+    """data if it is a JSON object (a dict); else ConfigurationError
+    naming the label."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"{label} section must be a JSON object, got {data!r}")
+    return data
+
+
+def build_section(cls, data, label: str):
     """cls(**data) for a config section read from JSON; ConfigurationError
-    names the label on unknown fields or arguments cls refuses."""
-    unknown = set(data) - set(cls.__dataclass_fields__)
+    names the label on a section that is not an object, unknown fields or
+    arguments cls refuses."""
+    unknown = set(require_object(data, label)) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigurationError(f"unknown {label} fields: {sorted(unknown)}")
     try:

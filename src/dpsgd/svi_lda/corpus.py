@@ -3,6 +3,12 @@
 The on-disk format is the UCI bag-of-words layout: three header lines
 (document count D, vocabulary size W, nonzero count NNZ) followed by
 exactly NNZ lines of ``docID wordID count`` with 1-based IDs.
+
+``synthetic_corpus`` fixes its draw order: after the topic weights, each
+document takes one ``dirichlet``, one ``integers`` and one
+``random(2 * n_tokens)`` call, the doubles picking topics first and then
+words topic by topic. The tests pin that order against the
+``Generator.choice`` loop it replaced, bit for bit.
 """
 from __future__ import annotations
 
@@ -16,6 +22,8 @@ from ..errors import ConfigurationError, CorpusFormatError
 # mix, and the probability mass a topic spreads over the whole vocabulary
 TOPIC_CONCENTRATION = 0.3
 BACKGROUND_MASS = 0.05
+# Generator.choice's tolerance on the sum of its p
+_P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,19 @@ def write_uci_bow(corpus: Corpus, docword_path, vocab_path) -> None:
             fh.write(term + "\n")
 
 
+def _check_doc_length(doc_length) -> tuple[int, int]:
+    try:
+        lo, hi = doc_length
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in (lo, hi)) or not 0 <= lo <= hi:
+        raise ConfigurationError(
+            f"doc_length must be two ints 0 <= lo <= hi, got {doc_length!r}"
+        )
+    return int(lo), int(hi)
+
+
 def synthetic_corpus(
     n_docs: int,
     vocab_size: int,
@@ -145,11 +166,23 @@ def synthetic_corpus(
     Topic k concentrates (1 - BACKGROUND_MASS) of its probability on its
     own contiguous vocabulary block, which keeps the topics far apart and
     makes recovery measurable. Returns (corpus, true topic rows).
+
+    Every draw comes from ``np.random.default_rng(seed)``: first one
+    ``random`` per topic block for the topic weights, then per document
+    one ``dirichlet`` (its topic mix theta), one ``integers`` (its length
+    n) and one ``random(2 * n)``. The first n doubles pick the tokens'
+    topics from theta's CDF; the rest pick the words, topic by topic in k
+    order, each from its topic's CDF. A CDF lookup is
+    ``cdf.searchsorted(u, side="right")`` with ``cdf = p.cumsum();
+    cdf /= cdf[-1]``, which is what ``Generator.choice(..., p=p)`` does
+    with the same doubles. ValueError if theta is not a probability
+    vector, as ``choice`` raised.
     """
     if k_topics < 1 or vocab_size < k_topics or n_docs < 1:
         raise ConfigurationError(
             "need k_topics >= 1 and vocab_size >= k_topics and n_docs >= 1"
         )
+    lo_len, hi_len = _check_doc_length(doc_length)
     rng = np.random.default_rng(seed)
     topics = np.full((k_topics, vocab_size), BACKGROUND_MASS / vocab_size)
     block = vocab_size // k_topics
@@ -160,21 +193,33 @@ def synthetic_corpus(
         weights /= weights.sum()
         topics[k, lo:hi] += (1.0 - BACKGROUND_MASS) * weights
     topics /= topics.sum(axis=1, keepdims=True)
+    word_cdfs = topics.cumsum(axis=1)
+    word_cdfs /= word_cdfs[:, -1:]
 
+    alpha = np.full(k_topics, TOPIC_CONCENTRATION)
     docs = []
-    lo_len, hi_len = doc_length
     for _ in range(n_docs):
-        theta = rng.dirichlet(np.full(k_topics, TOPIC_CONCENTRATION))
+        theta = rng.dirichlet(alpha)
         n_tokens = int(rng.integers(lo_len, hi_len + 1))
-        z = rng.choice(k_topics, size=n_tokens, p=theta)
-        counts = np.zeros(vocab_size, dtype=np.int64)
-        for k in range(k_topics):
-            m = int((z == k).sum())
+        topic_cdf = theta.cumsum()
+        total = topic_cdf[-1]
+        # the checks Generator.choice makes on p; a NaN fails the first
+        if not abs(total - 1.0) <= _P_ATOL or theta.min() < 0:
+            raise ValueError(f"topic mix is not a probability vector: {theta}")
+        topic_cdf /= total
+        u = rng.random(2 * n_tokens)
+        z = topic_cdf.searchsorted(u[:n_tokens], side="right")
+        words = np.empty(n_tokens, dtype=np.int64)
+        start = 0
+        for k, m in enumerate(np.bincount(z, minlength=k_topics).tolist()):
             if m:
-                words = rng.choice(vocab_size, size=m, p=topics[k])
-                np.add.at(counts, words, 1)
-        ids = np.nonzero(counts)[0]
-        docs.append(Document(ids.astype(np.int64), counts[ids]))
+                stop = start + m
+                words[start:stop] = word_cdfs[k].searchsorted(
+                    u[n_tokens + start:n_tokens + stop], side="right")
+                start = stop
+        counts = np.bincount(words, minlength=vocab_size)
+        ids = counts.nonzero()[0]
+        docs.append(Document(ids, counts[ids]))
     vocab = [f"w{i}" for i in range(vocab_size)]
     return Corpus(docs=docs, vocab=vocab), topics
 

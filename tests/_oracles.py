@@ -19,6 +19,8 @@ from dpsgd.hsa2c import (
     policy_probs,
     rollout,
 )
+from dpsgd.svi_lda import Corpus, Document
+from dpsgd.svi_lda.corpus import BACKGROUND_MASS, TOPIC_CONCENTRATION
 
 _SHIFT_TO = 30.0  # recurrence shift target before applying the series
 _N_SERIES_TERMS = 25  # B_2 .. B_50: a 50th-order asymptotic tail
@@ -131,3 +133,43 @@ def episode_by_segments(env, params, t_max, rng):
         g_v += gv
         total_reward += float(traj.rewards.sum())
     return g_theta, g_v, env.steps_taken, total_reward
+
+
+# --- synthetic corpus reference ---
+
+
+def synthetic_corpus_reference(n_docs, vocab_size, k_topics, seed,
+                               doc_length=(40, 80)):
+    """synthetic_corpus as one Generator.choice call per token draw.
+
+    Per document: the topics in one choice over theta, then each topic's
+    words in one choice over its row, in k order. synthetic_corpus must
+    match it bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    topics = np.full((k_topics, vocab_size), BACKGROUND_MASS / vocab_size)
+    block = vocab_size // k_topics
+    for k in range(k_topics):
+        lo = k * block
+        hi = vocab_size if k == k_topics - 1 else (k + 1) * block
+        weights = rng.random(hi - lo) + 0.5
+        weights /= weights.sum()
+        topics[k, lo:hi] += (1.0 - BACKGROUND_MASS) * weights
+    topics /= topics.sum(axis=1, keepdims=True)
+
+    docs = []
+    lo_len, hi_len = doc_length
+    for _ in range(n_docs):
+        theta = rng.dirichlet(np.full(k_topics, TOPIC_CONCENTRATION))
+        n_tokens = int(rng.integers(lo_len, hi_len + 1))
+        z = rng.choice(k_topics, size=n_tokens, p=theta)
+        counts = np.zeros(vocab_size, dtype=np.int64)
+        for k in range(k_topics):
+            m = int((z == k).sum())
+            if m:
+                words = rng.choice(vocab_size, size=m, p=topics[k])
+                np.add.at(counts, words, 1)
+        ids = np.nonzero(counts)[0]
+        docs.append(Document(ids.astype(np.int64), counts[ids]))
+    vocab = [f"w{i}" for i in range(vocab_size)]
+    return Corpus(docs=docs, vocab=vocab), topics

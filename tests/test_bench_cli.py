@@ -86,6 +86,24 @@ def test_validate_config_error_paths(tmp_path):
     assert main(["validate-config", "--config", unknown]) == 2
 
 
+@pytest.mark.parametrize("payload, section", [
+    ({"delay": 3}, "delay"),
+    ({"problem": "quadratic"}, "problem"),
+])
+def test_run_with_non_object_section_exits_2(tmp_path, capsys, payload,
+                                             section):
+    path = write_json(tmp_path, "cfg.json", payload)
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {section} section must be a JSON object" in err
+
+
+def test_sweep_with_non_object_base_exits_2(tmp_path, capsys):
+    path = write_json(tmp_path, "spec.json", {"base": 5})
+    assert main(["sweep", "--config", path]) == 2
+    assert "error: base section must be a JSON object" in capsys.readouterr().err
+
+
 def test_missing_required_flag_exits_2():
     assert main(["run"]) == 2
 

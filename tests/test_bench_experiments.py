@@ -107,6 +107,9 @@ def test_spec_round_trips_and_validates(tmp_path):
         ExperimentSpec.from_dict({**spec.to_dict(), "bogus": 1})
     with pytest.raises(ConfigurationError, match="'base'"):
         ExperimentSpec.from_dict({"nW_list": [1]})
+    with pytest.raises(ConfigurationError,
+                       match="base section must be a JSON object"):
+        ExperimentSpec.from_dict({"base": 5})
     with pytest.raises(ConfigurationError, match="nonempty"):
         ExperimentSpec(base=quad_cfg(), nW_list=[]).validate()
     with pytest.raises(ConfigurationError, match=">= 1"):

@@ -53,6 +53,22 @@ def test_unknown_fields_rejected():
         RunConfig.from_dict({"problem": {"name": "quadratic", "rows": 5}})
 
 
+@pytest.mark.parametrize("raw, section", [
+    ({"delay": 3}, "delay"),
+    ({"problem": "quadratic"}, "problem"),
+    ({"delay": None}, "delay"),
+    ({"theory": [1.0]}, "theory"),
+])
+def test_non_object_section_rejected(raw, section):
+    with pytest.raises(ConfigurationError,
+                       match=f"{section} section must be a JSON object"):
+        RunConfig.from_dict(raw)
+
+
+def test_null_theory_section_is_no_theory():
+    assert RunConfig.from_dict({"theory": None}) == RunConfig()
+
+
 def test_malformed_json_file_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

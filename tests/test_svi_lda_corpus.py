@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _oracles import synthetic_corpus_reference
 from dpsgd.errors import ConfigurationError, CorpusFormatError
 from dpsgd.svi_lda import (
     Corpus,
@@ -127,3 +130,114 @@ def test_heldout_split_partitions():
         heldout_split(corpus, 0, seed=3)
     with pytest.raises(ConfigurationError):
         heldout_split(corpus, 30, seed=3)
+
+
+@st.composite
+def corpus_shapes(draw):
+    vocab_size = draw(st.integers(1, 40))
+    k_topics = draw(st.one_of(st.just(1), st.just(vocab_size),
+                              st.integers(1, vocab_size)))
+    return draw(st.integers(1, 20)), vocab_size, k_topics
+
+
+APPS_SHAPE = (2000, 500, 10)  # perfbench/workloads.py's LDA corpus
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=corpus_shapes(), seed=st.integers(0, 2**32 + 5),
+       doc_length=st.sampled_from([(0, 0), (1, 1), (40, 80)]))
+@example(shape=(20, 7, 7), seed=2**32 + 5, doc_length=(40, 80))
+@example(shape=APPS_SHAPE, seed=1, doc_length=(40, 80))
+@example(shape=APPS_SHAPE, seed=2, doc_length=(40, 80))
+@example(shape=APPS_SHAPE, seed=3, doc_length=(40, 80))
+def test_synthetic_corpus_matches_choice_reference(shape, seed, doc_length):
+    got, got_topics = synthetic_corpus(*shape, seed=seed, doc_length=doc_length)
+    want, want_topics = synthetic_corpus_reference(*shape, seed=seed,
+                                                   doc_length=doc_length)
+    assert got_topics.dtype == want_topics.dtype
+    assert np.array_equal(got_topics, want_topics)
+    assert got.vocab == want.vocab
+    assert len(got.docs) == len(want.docs) == shape[0]
+    for a, b in zip(got.docs, want.docs):
+        assert a.word_ids.dtype == b.word_ids.dtype == np.int64
+        assert a.counts.dtype == b.counts.dtype == np.int64
+        assert np.array_equal(a.word_ids, b.word_ids)
+        assert np.array_equal(a.counts, b.counts)
+
+
+class RecordingGenerator:
+    """A Generator whose method calls are recorded by name, in order.
+
+    dirichlet, if given, replaces the Generator's dirichlet.
+    """
+
+    def __init__(self, rng, dirichlet=None):
+        self.rng = rng
+        self.calls = []
+        self.dirichlet_override = dirichlet
+
+    def __getattr__(self, name):
+        fn = getattr(self.rng, name)
+        if name == "dirichlet" and self.dirichlet_override is not None:
+            fn = self.dirichlet_override
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return fn(*args, **kwargs)
+        return recorded
+
+
+def test_synthetic_corpus_draw_budget(monkeypatch):
+    # counts only, never time
+    n_docs, vocab_size, k_topics = 30, 40, 4
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(RecordingGenerator(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    synthetic_corpus(n_docs, vocab_size, k_topics, seed=5)
+    [rng] = made
+    # one random per topic block for the weights, then three calls a doc
+    assert rng.calls == (["random"] * k_topics
+                         + ["dirichlet", "integers", "random"] * n_docs)
+    assert "choice" not in rng.calls
+
+
+@pytest.mark.parametrize("doc_length", [(0, 0), (40, 80)])
+@pytest.mark.parametrize("theta", [
+    np.full(3, np.nan), np.full(3, 0.2), np.array([1.5, -0.5, 0.0]),
+])
+def test_synthetic_corpus_rejects_a_topic_mix_off_the_simplex(
+        monkeypatch, doc_length, theta):
+    # all-zero gammas make dirichlet return NaN; choice refused such a p
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: RecordingGenerator(
+        default_rng(seed), dirichlet=lambda alpha: theta.copy()))
+    for build in (synthetic_corpus, synthetic_corpus_reference):
+        with pytest.raises(ValueError):
+            build(5, 12, 3, seed=1, doc_length=doc_length)
+
+
+@pytest.mark.parametrize("doc_length", [
+    (80, 40), (-5, 3), (-1, -1), (40.0, 80), (40, 80.5), (True, 3), (40,),
+    (1, 2, 3), "ab", None, 40,
+])
+def test_synthetic_corpus_rejects_bad_doc_length_before_drawing(
+        monkeypatch, doc_length):
+    def no_draws(seed):
+        raise AssertionError("drew before checking doc_length")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ConfigurationError, match="doc_length"):
+        synthetic_corpus(5, 12, 3, seed=1, doc_length=doc_length)
+
+
+def test_synthetic_corpus_accepts_numpy_int_doc_length():
+    a, _ = synthetic_corpus(4, 12, 3, seed=1,
+                            doc_length=(np.int64(5), np.int32(9)))
+    b, _ = synthetic_corpus(4, 12, 3, seed=1, doc_length=(5, 9))
+    for x, y in zip(a.docs, b.docs):
+        assert np.array_equal(x.counts, y.counts)
