@@ -10,7 +10,10 @@ pointing PYTHONPATH at that checkout's sources, and diff the outputs:
 
 Each stdout line names a run and digests its final vector, MetricsSeries
 rows, counters and the applied and received staleness histograms; an
-apps-a2c line also digests its oracle's env_steps and episode_returns. A
+apps-a2c or gridworld line also digests its oracle's env_steps and
+episode_returns. The gridworld lines run the apps A2C config on more
+seeds, then two short-segment shapes on a 3x3 grid with a 20-move cap,
+where segments end at the goal (t_max 1) and at the cap (t_max 7). A
 corpus line digests the apps workload's synthetic corpus for that seed:
 its true topics and the bytes of every document's word ids and counts,
 dtypes included. The wall time of each run goes to stderr, so it stays
@@ -34,11 +37,18 @@ from dpsgd.engine import (
     initial_model,
     run_with_oracle,
 )
-from dpsgd.hsa2c import run_hsa2c
+from dpsgd.hsa2c import ToyEnv, hsa2c_config, run_hsa2c
 from dpsgd.svi_lda import run_dpsvi, synthetic_corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import LDA_DOCS, LDA_K, LDA_V, WORKLOADS  # noqa: E402
+from workloads import (  # noqa: E402
+    A2C_ETA,
+    A2C_T,
+    LDA_DOCS,
+    LDA_K,
+    LDA_V,
+    WORKLOADS,
+)
 
 
 def _quad(**overrides) -> RunConfig:
@@ -111,6 +121,19 @@ def _engine_runs():
         yield name, cfg, oracle, initial_model(oracle)
 
 
+def _gridworld_runs():
+    """(name, config, env) of every gridworld run outside apps."""
+    for seed in range(4, 11):
+        env = ToyEnv(side=5)
+        yield (f"gridworld/apps-seed{seed}",
+               hsa2c_config(env, seed=seed, T=A2C_T, eta=A2C_ETA), env)
+    for t_max in (1, 7):
+        env = ToyEnv(side=3, t_max_episode=20)
+        yield (f"gridworld/side3-tmax{t_max}",
+               hsa2c_config(env, m=2, t_max=t_max, T=100, nW=2, p=2, B=2, M=2,
+                            seed=5), env)
+
+
 def _digest(obj) -> str:
     data = obj.tobytes() if isinstance(obj, np.ndarray) else repr(obj).encode()
     return hashlib.sha256(data).hexdigest()[:16]
@@ -123,6 +146,12 @@ def fingerprint(name: str, res) -> str:
             f"metrics={_digest(res.metrics.rows)} "
             f"counters={_digest(dataclasses.asdict(res.counters))} "
             f"hists={_digest(hists)}")
+
+
+def a2c_fingerprint(name: str, cfg, env) -> str:
+    _, res, oracle = _timed(name, lambda: run_hsa2c(cfg, env))
+    episodes = _digest((oracle.env_steps, oracle.episode_returns))
+    return f"{fingerprint(name, res)} episodes={episodes}"
 
 
 def corpus_fingerprint(name: str, corpus, topics) -> str:
@@ -158,11 +187,10 @@ def main(argv=None) -> int:
         _, lda = _timed(f"apps-lda/seed{seed}", lambda: run_dpsvi(
             ctx["lda_cfg"], ctx["model0"], ctx["train"]))
         print(fingerprint(f"apps-lda/seed{seed}", lda), flush=True)
-        _, a2c, oracle = _timed(f"apps-a2c/seed{seed}",
-                                lambda: run_hsa2c(ctx["a2c_cfg"], ctx["env"]))
-        episodes = _digest((oracle.env_steps, oracle.episode_returns))
-        print(f"{fingerprint(f'apps-a2c/seed{seed}', a2c)} "
-              f"episodes={episodes}", flush=True)
+        print(a2c_fingerprint(f"apps-a2c/seed{seed}", ctx["a2c_cfg"],
+                              ctx["env"]), flush=True)
+    for name, cfg, env in _gridworld_runs():
+        print(a2c_fingerprint(name, cfg, env), flush=True)
     return 0
 
 

@@ -129,13 +129,14 @@ def _build_corpus(params: dict):
         )
     kind = source["kind"]
     if kind == "synthetic":
-        corpus, topics = synthetic_corpus(
-            int(source.get("n_docs", 500)),
-            int(source.get("vocab_size", 100)),
-            int(source.get("k_topics", 5)),
-            int(source.get("seed", 42)),
-        )
-        return corpus, topics
+        fields = {}
+        for key, default in (("n_docs", 500), ("vocab_size", 100),
+                             ("k_topics", 5), ("seed", 42)):
+            value = fields[key] = source.get(key, default)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"corpus {key} must be a JSON integer, got {value!r}")
+        return synthetic_corpus(**fields)
     if kind == "uci":
         for key in ("docword", "vocab"):
             if key not in source:

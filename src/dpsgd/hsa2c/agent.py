@@ -5,10 +5,16 @@ state s are theta[s] and the value estimate is theta_v[s]. Gradients
 below are ascent directions for the policy objective and the raw
 derivative of the squared error for the critic; the engine-facing
 runner negates the policy block so a descent step ascends the reward.
+
+A segment's walk, returns and gradient sums are written once, as the
+helpers _walk, _discount and _add_gradients over nested-list tables.
+rollout, kstep_returns and ac_gradients wrap them, as does
+GridworldOracle's episode loop; tests/_oracles.py keeps the per-step
+forms as the independent reference.
 """
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +123,46 @@ class Trajectory:
         return self.states.shape[0]
 
 
+def _walk(uniforms, s, cdf, nxt, rew, goal):
+    """(states, actions, rewards, end state, reached goal) of one segment
+    from s: one action per uniform from the cumulative policy rows cdf,
+    stopping at the goal or when the uniforms run out."""
+    # cdf[s][-1] can fall a few ulps short of 1; clamp the overflow bin
+    last = len(cdf[s]) - 1
+    states, actions, rewards = [], [], []
+    for u in uniforms:
+        a = min(bisect_right(cdf[s], u), last)
+        states.append(s)
+        actions.append(a)
+        rewards.append(rew[s][a])
+        s = nxt[s][a]
+        if s == goal:
+            break
+    return states, actions, rewards, s, s == goal
+
+
+def _discount(rewards, bootstrap, gamma):
+    """Backward recurrence R <- r + gamma * R seeded with the bootstrap."""
+    out = [0.0] * len(rewards)
+    acc = bootstrap
+    for i in range(len(rewards) - 1, -1, -1):
+        acc = rewards[i] + gamma * acc
+        out[i] = acc
+    return out
+
+
+def _add_gradients(g_theta, g_v, states, actions, returns, probs, values):
+    """Add each step's policy and value terms to the rows g_theta[s] and
+    slots g_v[s], in step order; dense lists or visited-state dicts."""
+    for s, a, ret in zip(states, actions, returns):
+        adv = ret - values[s]
+        row = g_theta[s]
+        for j, p in enumerate(probs[s]):
+            row[j] -= adv * p
+        row[a] += adv
+        g_v[s] -= 2.0 * adv
+
+
 def rollout(
     env: ToyEnv, params: ActorCriticParams, t_max: int, rng
 ) -> Trajectory:
@@ -132,19 +178,17 @@ def rollout(
         raise ConfigurationError(f"t_max must be >= 1, got {t_max}")
     if env.done:
         raise ConfigurationError("environment is finished; reset before rollout")
+    if params.n_actions > N_ACTIONS:
+        raise ConfigurationError(
+            f"params have {params.n_actions} actions, the env {N_ACTIONS}")
     cdf = np.cumsum(policy_matrix(params.theta), axis=1).tolist()
-    # cdf[-1] can fall a few ulps short of 1; clamp the overflow bin
-    last = params.n_actions - 1
-    states, actions, rewards = [], [], []
-    for _ in range(t_max):
-        s = env.state
-        a = min(bisect.bisect_right(cdf[s], rng.random()), last)
-        _, r, done = env.step(a)
-        states.append(s)
-        actions.append(a)
-        rewards.append(r)
-        if done:
-            break
+    uniforms = (rng.random()
+                for _ in range(min(t_max, env.t_max_episode - env.steps_taken)))
+    states, actions, rewards, _, _ = _walk(
+        uniforms, env.state, cdf, env.next_state_table, env.reward_table,
+        env.goal_index)
+    for a in actions:
+        env.step(a)
     bootstrap = 0.0 if env.done else float(params.theta_v[env.state])
     return Trajectory(
         np.array(states), np.array(actions), np.array(rewards),
@@ -154,13 +198,7 @@ def rollout(
 
 def kstep_returns(traj: Trajectory, gamma_rl: float) -> np.ndarray:
     """Backward recurrence R <- r + gamma * R seeded with the bootstrap."""
-    out = [0.0] * traj.length
-    acc = traj.bootstrap
-    rewards = traj.rewards.tolist()
-    for i in range(traj.length - 1, -1, -1):
-        acc = rewards[i] + gamma_rl * acc
-        out[i] = acc
-    return np.array(out)
+    return np.array(_discount(traj.rewards.tolist(), traj.bootstrap, gamma_rl))
 
 
 def ac_gradients(
@@ -182,16 +220,8 @@ def ac_gradients(
             f"returns shape {returns.shape} does not match trajectory "
             f"length {traj.length}"
         )
-    probs = policy_matrix(params.theta).tolist()
-    values = params.theta_v.tolist()
-    g_theta = np.zeros_like(params.theta).tolist()
-    g_v = [0.0] * params.n_states
-    for s, a, ret in zip(traj.states.tolist(), traj.actions.tolist(),
-                         returns.tolist()):
-        adv = ret - values[s]
-        row = g_theta[s]
-        for j, p in enumerate(probs[s]):
-            row[j] -= adv * p
-        row[a] += adv
-        g_v[s] -= 2.0 * adv
+    g_theta, g_v = np.zeros_like(params.theta).tolist(), [0.0] * params.n_states
+    _add_gradients(g_theta, g_v, traj.states.tolist(), traj.actions.tolist(),
+                   returns.tolist(), policy_matrix(params.theta).tolist(),
+                   params.theta_v.tolist())
     return np.array(g_theta), np.array(g_v)

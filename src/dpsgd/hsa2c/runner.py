@@ -8,20 +8,19 @@ non-terminal segment ends, and the per-segment gradients accumulate
 into one update. Mini-batch size m (the engine's batch_size) counts
 episodes per local update; B local updates make one pushed vector.
 
-An episode runs as one loop over lookup tables: the policy, cumulative
-policy and value tables are built once per grad_at call, and the
-transition and reward tables belong to the ToyEnv. The loop is bitwise
-rollout, then kstep_returns, then ac_gradients, segment by segment, with
-the segment gradient summed from zeros before it joins the episode's.
-Each segment takes its uniforms in one rng.random(k) call, which yields
-the doubles of k scalar calls in order; only the last segment of an
-episode can draw more than it uses.
+An episode is segment after segment of the agent module's helpers, the
+ones rollout, kstep_returns and ac_gradients wrap, over lookup tables:
+the policy, cumulative policy and value tables are built once per
+grad_at call, and the transition and reward tables belong to the ToyEnv,
+which is never stepped. Each segment's gradient is summed from zeros
+before it joins the episode's, and each segment takes its uniforms in
+one rng.random(k) call, which yields the doubles of k scalar calls in
+order; only the last segment of an episode can draw more than it uses.
 """
 from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_right
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from ..engine import ProblemSpec, RunConfig, RunResult, run_with_oracle
 from ..engine.rng import ROLE_ENV, pass_indices, substream
 from ..errors import ConfigurationError
 from ..problems import _check_index
-from .agent import ActorCriticParams, policy_matrix
+from .agent import (ActorCriticParams, _add_gradients, _discount, _walk,
+                    policy_matrix)
 from .env import N_ACTIONS, ToyEnv
 
 # virtual pool of episode seeds the engine samples indices from
@@ -68,42 +68,22 @@ class GridworldOracle:
         env = self.env
         nxt, rew = env.next_state_table, env.reward_table
         goal, cap, gamma = env.goal_index, env.t_max_episode, env.gamma_rl
-        # cdf[s][-1] can fall a few ulps short of 1; clamp the overflow bin
-        last = N_ACTIONS - 1
         g_theta = [[0.0] * N_ACTIONS for _ in range(env.n_states)]
         g_v = [0.0] * env.n_states
         s, steps, done, total_reward = env.start_index, 0, False, 0.0
         while not done:
-            states, actions, rewards = [], [], []
-            for u in rng.random(min(self.t_max, cap - steps)).tolist():
-                a = min(bisect_right(cdf[s], u), last)
-                states.append(s)
-                actions.append(a)
-                rewards.append(rew[s][a])
-                s = nxt[s][a]
-                if s == goal:
-                    done = True
-                    break
+            uniforms = rng.random(min(self.t_max, cap - steps)).tolist()
+            states, actions, rewards, s, done = _walk(uniforms, s, cdf, nxt,
+                                                      rew, goal)
             steps += len(states)
             done = done or steps >= cap
-            acc = 0.0 if done else values[s]
-            returns = [0.0] * len(states)
-            for i in range(len(states) - 1, -1, -1):
-                acc = rewards[i] + gamma * acc
-                returns[i] = acc
+            returns = _discount(rewards, 0.0 if done else values[s], gamma)
             # only visited rows: adding a zero row is exact, as a sum
             # grown from +0.0 by adds and subtracts is never -0.0
-            seg_theta, seg_v = {}, {}
-            for si, a, ret in zip(states, actions, returns):
-                adv = ret - values[si]
-                row = seg_theta.get(si)
-                if row is None:
-                    row = seg_theta[si] = [0.0] * N_ACTIONS
-                    seg_v[si] = 0.0
-                for j, p in enumerate(probs[si]):
-                    row[j] -= adv * p
-                row[a] += adv
-                seg_v[si] -= 2.0 * adv
+            seg_v = dict.fromkeys(states, 0.0)
+            seg_theta = {si: [0.0] * N_ACTIONS for si in seg_v}
+            _add_gradients(seg_theta, seg_v, states, actions, returns, probs,
+                           values)
             for si, row in seg_theta.items():
                 ep_row = g_theta[si]
                 for j, g in enumerate(row):

@@ -18,13 +18,7 @@ from ..engine.rng import pass_indices
 from ..errors import ConfigurationError
 from ..problems import _check_index
 from .corpus import Corpus
-from .inference import (
-    E_STEP_MAX_ITERS,
-    E_STEP_TOL,
-    estep_docs,
-    natural_gradient,
-    perplexity,
-)
+from .inference import estep_docs, natural_gradient, perplexity
 from .model import LdaModel
 
 # async mixes can momentarily push entries of lambda to or below zero;
@@ -41,13 +35,7 @@ class LdaSviOracle:
 
     name = "lda-svi"
 
-    def __init__(
-        self,
-        template: LdaModel,
-        corpus: Corpus,
-        tol: float = E_STEP_TOL,
-        max_iters: int = E_STEP_MAX_ITERS,
-    ):
+    def __init__(self, template: LdaModel, corpus: Corpus):
         template.validate()
         if corpus.n_docs != template.n_docs:
             raise ConfigurationError(
@@ -61,8 +49,6 @@ class LdaSviOracle:
             )
         self.template = template
         self.corpus = corpus
-        self.tol = tol
-        self.max_iters = max_iters
         self.n = corpus.n_docs
         self.dim = template.K * template.V_vocab
         self.floor_hits = 0
@@ -80,7 +66,7 @@ class LdaSviOracle:
         idx = _check_index(i, self.n)
         model = self.model_at(x)
         batch = [self.corpus.docs[j] for j in idx]
-        states = estep_docs(model, batch, self.tol, self.max_iters)
+        states = estep_docs(model, batch)
         return natural_gradient(model, batch, states).ravel()
 
     def full_grad(self, x) -> np.ndarray:

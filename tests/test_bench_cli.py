@@ -216,6 +216,20 @@ def test_svi_cli_rejects_wrong_doc_count(tmp_path):
     assert main(["svi", "--config", path, "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("field, value",
+                         [("n_docs", "many"), ("seed", 2.7), ("n_docs", True)])
+def test_svi_cli_rejects_non_integer_corpus_field(tmp_path, capsys, field,
+                                                   value):
+    # a JSON string, float or bool is neither parsed, truncated nor
+    # counted as 1: the CLI exits 2 and names the field
+    cfg = svi_cfg().to_dict()
+    corpus = cfg["problem"]["params"]["corpus"]
+    cfg["problem"]["params"]["corpus"] = dict(corpus, **{field: value})
+    path = write_json(tmp_path, "svi.json", cfg)
+    assert main(["svi", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert f"corpus {field} must be a JSON integer" in capsys.readouterr().err
+
+
 def test_svi_cli_rejects_wrong_problem(tmp_path):
     path = write_json(tmp_path, "cfg.json", quad_cfg().to_dict())
     assert main(["svi", "--config", path, "--out-dir", str(tmp_path)]) == 2

@@ -109,8 +109,7 @@ def test_oracle_gradient_matches_direct_inference():
     g = oracle.grad_at(4, model0.lam.ravel())
     elb = dirichlet_expectation(model0.lam)
     doc = corpus.docs[4]
-    state = local_estep(model0, doc, oracle.tol, oracle.max_iters,
-                        expected_log_beta=elb)
+    state = local_estep(model0, doc, expected_log_beta=elb)
     expected = natural_gradient(model0, [doc], [state]).ravel()
     assert np.array_equal(g, expected)
     assert g.shape == (oracle.dim,)
