@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 from ..engine import (
     RunConfig,
@@ -24,9 +24,10 @@ from ..engine import (
     run_tcp_master,
     run_tcp_worker,
 )
-from ..engine.config import load_json_object
+from ..engine.config import build_section, load_json_object, read_section
 from ..errors import ConfigurationError, DpsgdError
-from ..hsa2c import ToyEnv, optimal_return, run_hsa2c
+from ..hsa2c import GridworldOracle, ToyEnv, optimal_return, run_hsa2c
+from ..problems import oracle_class
 from ..svi_lda import (
     LdaModel,
     heldout_split,
@@ -43,12 +44,93 @@ LDA_SERIES_HEADER = ("wall_clock_s", "effective_docs_seen", "heldout_perplexity"
 RL_SERIES_HEADER = ("wall_clock_s", "env_steps", "mean_return_last_100")
 
 
-def _load_run_config(args) -> RunConfig:
+@dataclass
+class SyntheticCorpus:
+    """An lda-svi corpus block of kind "synthetic": planted topics."""
+
+    kind: str
+    n_docs: int = 500
+    vocab_size: int = 100
+    k_topics: int = 5
+    seed: int = 42
+
+
+@dataclass
+class UciCorpus:
+    """An lda-svi corpus block of kind "uci": bag-of-words files."""
+
+    kind: str
+    docword: str
+    vocab: str
+
+
+CORPUS_KINDS = {"synthetic": SyntheticCorpus, "uci": UciCorpus}
+
+
+@dataclass
+class LdaParams:
+    """The problem params of an lda-svi config; source is the corpus
+    block, read by its kind."""
+
+    K: int
+    corpus: dict
+    heldout_docs: int = 0
+    split_seed: int = 7
+    zeta: float = 0.1
+    alpha_doc: float = 0.1
+    source: SyntheticCorpus | UciCorpus = field(init=False)
+
+    def __post_init__(self):
+        kind = self.corpus.get("kind")
+        if not isinstance(kind, str) or kind not in CORPUS_KINDS:
+            raise ConfigurationError(f"unknown corpus kind {kind!r}")
+        self.source = build_section(CORPUS_KINDS[kind], self.corpus, "corpus")
+
+
+def _problem_params(problem):
+    """The params of problem as run, svi and rl read them, each field
+    checked by the config reader; builds no data. lda-svi gives an
+    LdaParams, gridworld-a2c a GridworldOracle (the ToyEnv fields plus
+    t_max) and a built-in problem its oracle's constructor arguments."""
+    params, label = problem.params, "problem.params"
+    if problem.name == "lda-svi":
+        return build_section(LdaParams, params, label)
+    if problem.name == "gridworld-a2c":
+        oracle_args = read_section(
+            GridworldOracle, {k: v for k, v in params.items() if k == "t_max"},
+            label, supplied=("env", "seed"))
+        env = build_section(
+            ToyEnv, {k: v for k, v in params.items() if k != "t_max"}, label)
+        return GridworldOracle(env, 0, **oracle_args)
+    return read_section(oracle_class(problem.name), params, label,
+                        supplied=("n", "dim", "seed"))
+
+
+def _load_run_config(args, problem: str | None = None):
+    """The run config of args.config with --seed applied, and its problem
+    params; ConfigurationError unless its problem is named problem."""
     cfg = RunConfig.from_dict(load_json_object(args.config))
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=int(args.seed))
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
         cfg.validate()
-    return cfg
+    if problem is not None and cfg.problem.name != problem:
+        raise ConfigurationError(f"{args.command} expects problem.name "
+                                 f"{problem!r}, got {cfg.problem.name!r}")
+    return cfg, _problem_params(cfg.problem)
+
+
+def _emit_series(out_dir, stem: str, cfg, result, series, extra: dict,
+                 done: str) -> None:
+    """Write <stem>_series.csv, the (header, rows) of series, and
+    <stem>_summary.json, the run summary plus extra, under out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    series_path = os.path.join(out_dir, f"{stem}_series.csv")
+    write_rows_csv(series_path, *series)
+    summary_path = os.path.join(out_dir, f"{stem}_summary.json")
+    write_summary_json(summary_path, {**result_summary(cfg, result), **extra})
+    print(done)
+    print(f"wrote {series_path}")
+    print(f"wrote {summary_path}")
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -73,7 +155,7 @@ def _emit_and_report(out_dir, stem: str, cfg: RunConfig, result) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_run_config(args)
+    cfg, _ = _load_run_config(args)
     if args.trace_overwrites:
         cfg = replace(cfg, trace_overwrites=True, execution="threaded")
     if args.transport == "inproc":
@@ -87,8 +169,7 @@ def _cmd_run(args) -> int:
             if args.worker_id is None:
                 raise ConfigurationError("--master-addr requires --worker-id")
             passes = run_tcp_worker(
-                cfg, oracle, _parse_address(args.master_addr),
-                int(args.worker_id),
+                cfg, oracle, _parse_address(args.master_addr), args.worker_id,
             )
             print(f"worker {args.worker_id} completed {passes} passes")
             return 0
@@ -109,6 +190,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = ExperimentSpec.from_dict(load_json_object(args.config))
+    _problem_params(spec.base.problem)
     out_dir = args.out_dir if args.out_dir is not None else spec.out_dir
     summary = run_experiment(spec, out_dir=out_dir)
     failures = [r for r in summary["runs"] if r["error"] is not None]
@@ -120,125 +202,60 @@ def _cmd_sweep(args) -> int:
     return 3 if failures else 0
 
 
-def _build_corpus(params: dict):
-    """Corpus and (optional) planted topics from problem params."""
-    source = params.get("corpus")
-    if not isinstance(source, dict) or "kind" not in source:
-        raise ConfigurationError(
-            "problem.params.corpus must be an object with a 'kind' field"
-        )
-    kind = source["kind"]
-    if kind == "synthetic":
-        fields = {}
-        for key, default in (("n_docs", 500), ("vocab_size", 100),
-                             ("k_topics", 5), ("seed", 42)):
-            value = fields[key] = source.get(key, default)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"corpus {key} must be a JSON integer, got {value!r}")
-        return synthetic_corpus(**fields)
-    if kind == "uci":
-        for key in ("docword", "vocab"):
-            if key not in source:
-                raise ConfigurationError(f"uci corpus needs a {key!r} path")
-        return load_uci_bow(source["docword"], source["vocab"]), None
-    raise ConfigurationError(f"unknown corpus kind {kind!r}")
-
-
 def _cmd_svi(args) -> int:
-    cfg = _load_run_config(args)
-    if cfg.problem.name != "lda-svi":
-        raise ConfigurationError(
-            f"svi expects problem.name 'lda-svi', got {cfg.problem.name!r}"
-        )
-    params = cfg.problem.params
-    if "K" not in params:
-        raise ConfigurationError("problem.params must carry K (topic count)")
-    K = int(params["K"])
-    corpus, true_topics = _build_corpus(params)
-    n_heldout = int(params.get("heldout_docs", 0))
-    if n_heldout > 0:
-        train, heldout = heldout_split(
-            corpus, n_heldout, int(params.get("split_seed", 7))
-        )
+    cfg, params = _load_run_config(args, "lda-svi")
+    source = params.source
+    if source.kind == "synthetic":
+        corpus, true_topics = synthetic_corpus(
+            source.n_docs, source.vocab_size, source.k_topics, source.seed)
     else:
-        train, heldout = corpus, corpus
+        corpus, true_topics = load_uci_bow(source.docword, source.vocab), None
+    train, heldout = corpus, corpus
+    if params.heldout_docs > 0:
+        train, heldout = heldout_split(corpus, params.heldout_docs,
+                                       params.split_seed)
     if cfg.problem.n != train.n_docs:
         raise ConfigurationError(
             f"problem.n is {cfg.problem.n} but the training corpus has "
             f"{train.n_docs} documents after the heldout split"
         )
     model0 = LdaModel.create(
-        K,
+        params.K,
         train.vocab_size,
         train.n_docs,
-        zeta=float(params.get("zeta", 0.1)),
-        alpha_doc=float(params.get("alpha_doc", 0.1)),
+        zeta=params.zeta,
+        alpha_doc=params.alpha_doc,
         seed=cfg.seed,
     )
     model, result = run_dpsvi(cfg, model0, train)
     perp = perplexity(model, heldout)
     docs_seen = result.counters.gradient_evals_applied * cfg.problem.batch_size
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    stem = f"lda_seed{cfg.seed}"
-    series_path = os.path.join(args.out_dir, f"{stem}_series.csv")
-    write_rows_csv(
-        series_path, LDA_SERIES_HEADER, [(result.wall_clock_s, docs_seen, perp)]
-    )
-    summary = result_summary(cfg, result)
-    summary["heldout_perplexity"] = perp
-    summary["effective_docs_seen"] = docs_seen
-    summary["heldout_docs"] = heldout.n_docs if n_heldout > 0 else 0
+    extra = {"heldout_perplexity": perp, "effective_docs_seen": docs_seen,
+             "heldout_docs": heldout.n_docs if params.heldout_docs > 0 else 0}
     if true_topics is not None:
-        summary["topic_recovery"] = topic_recovery_score(
-            model.mean_beta(), true_topics
-        )
-    summary_path = os.path.join(args.out_dir, f"{stem}_summary.json")
-    write_summary_json(summary_path, summary)
-    print(
-        f"svi complete: perplexity={perp:.6g} "
-        f"effective_docs_seen={docs_seen}"
-    )
-    print(f"wrote {series_path}")
-    print(f"wrote {summary_path}")
+        extra["topic_recovery"] = topic_recovery_score(model.mean_beta(),
+                                                       true_topics)
+    _emit_series(args.out_dir, f"lda_seed{cfg.seed}", cfg, result,
+                 (LDA_SERIES_HEADER, [(result.wall_clock_s, docs_seen, perp)]),
+                 extra, f"svi complete: perplexity={perp:.6g} "
+                        f"effective_docs_seen={docs_seen}")
     return 0
 
 
 def _cmd_rl(args) -> int:
-    cfg = _load_run_config(args)
-    if cfg.problem.name != "gridworld-a2c":
-        raise ConfigurationError(
-            f"rl expects problem.name 'gridworld-a2c', got {cfg.problem.name!r}"
-        )
-    params = cfg.problem.params
-    env = ToyEnv(
-        side=int(params.get("side", 5)),
-        step_reward=float(params.get("step_reward", -0.01)),
-        goal_reward=float(params.get("goal_reward", 1.0)),
-        gamma_rl=float(params.get("gamma_rl", 0.99)),
-        t_max_episode=int(params.get("t_max_episode", 100)),
-    )
+    cfg, params = _load_run_config(args, "gridworld-a2c")
+    env = params.env
     _, result, oracle = run_hsa2c(cfg, env)
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    stem = f"gridworld_seed{cfg.seed}"
-    series_path = os.path.join(args.out_dir, f"{stem}_series.csv")
-    write_rows_csv(series_path, RL_SERIES_HEADER, oracle.history)
-    summary = result_summary(cfg, result)
-    summary["optimal_return"] = optimal_return(env)
-    summary["final_mean_return"] = oracle.mean_return_last()
-    summary["env_steps"] = oracle.env_steps
-    summary["episodes"] = len(oracle.episode_returns)
-    summary_path = os.path.join(args.out_dir, f"{stem}_summary.json")
-    write_summary_json(summary_path, summary)
-    print(
-        f"rl complete: mean_return_last_100={summary['final_mean_return']:.6g} "
-        f"optimal={summary['optimal_return']:.6g} "
-        f"env_steps={oracle.env_steps}"
-    )
-    print(f"wrote {series_path}")
-    print(f"wrote {summary_path}")
+    extra = {"optimal_return": optimal_return(env),
+             "final_mean_return": oracle.mean_return_last(),
+             "env_steps": oracle.env_steps,
+             "episodes": len(oracle.episode_returns)}
+    _emit_series(args.out_dir, f"gridworld_seed{cfg.seed}", cfg, result,
+                 (RL_SERIES_HEADER, oracle.history), extra,
+                 f"rl complete: mean_return_last_100="
+                 f"{extra['final_mean_return']:.6g} "
+                 f"optimal={extra['optimal_return']:.6g} "
+                 f"env_steps={oracle.env_steps}")
     return 0
 
 
@@ -246,10 +263,12 @@ def _cmd_validate(args) -> int:
     raw = load_json_object(args.config)
     if "base" in raw:
         spec = ExperimentSpec.from_dict(raw)
+        _problem_params(spec.base.problem)
         n_runs = len(spec.nW_list) * len(spec.p_list) * len(spec.B_list)
         print(f"ok: experiment {spec.name!r} with {n_runs} runs")
     else:
         cfg = RunConfig.from_dict(raw)
+        _problem_params(cfg.problem)
         print(
             f"ok: run config problem={cfg.problem.name!r} T={cfg.T} "
             f"shape=(nW={cfg.nW}, p={cfg.p}, B={cfg.B}, M={cfg.M})"
@@ -264,11 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON config path")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
         p.add_argument("--out-dir", default="bench_out",
                        help="directory for CSV/JSON outputs")
 

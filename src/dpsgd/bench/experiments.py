@@ -3,12 +3,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from ..engine import RunConfig, rescale_rate, run
-from ..engine.config import build_section, load_json_object, require_object
+from ..engine.config import build_section, load_json_object
 from ..errors import ConfigurationError, DpsgdError
 from .metrics import SUMMARY_SCHEMA, emit_run, write_summary_json
 
@@ -94,7 +94,7 @@ class ExperimentSpec:
                             ("B_list", self.B_list)):
             if not axis:
                 raise ConfigurationError(f"{label} must be nonempty")
-            if any(int(v) < 1 for v in axis):
+            if any(v < 1 for v in axis):
                 raise ConfigurationError(f"{label} entries must be >= 1")
         n_runs = len(self.nW_list) * len(self.p_list) * len(self.B_list)
         if not 0 <= self.reference_index < n_runs:
@@ -113,9 +113,9 @@ class ExperimentSpec:
                 for B in self.B_list:
                     cfg = replace(
                         self.base,
-                        nW=int(nW),
-                        p=int(p),
-                        B=int(B),
+                        nW=nW,
+                        p=p,
+                        B=B,
                         rho_schedule=dict(self.base.rho_schedule),
                         delay=replace(self.base.delay),
                         problem=replace(self.base.problem),
@@ -123,7 +123,7 @@ class ExperimentSpec:
                     sched = cfg.rho_schedule
                     if sched.get("kind") == "constant":
                         sched["value"] = rescale_rate(
-                            float(sched["value"]),
+                            sched["value"],
                             base_shape,
                             (cfg.p, cfg.B, cfg.M),
                         )
@@ -134,23 +134,11 @@ class ExperimentSpec:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "nW_list": list(self.nW_list),
-            "p_list": list(self.p_list),
-            "B_list": list(self.B_list),
-            "reference_index": self.reference_index,
-            "name": self.name,
-            "out_dir": self.out_dir,
-        }
+        return {**asdict(self), "base": self.base.to_dict()}
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentSpec":
-        data = dict(raw)
-        if "base" not in data:
-            raise ConfigurationError("experiment spec needs a 'base' config")
-        data["base"] = RunConfig.from_dict(require_object(data["base"], "base"))
-        spec = build_section(ExperimentSpec, data, "experiment")
+        spec = build_section(ExperimentSpec, raw, "experiment")
         spec.validate()
         return spec
 
@@ -277,7 +265,7 @@ def convergence_study(base: RunConfig, t_values, out_dir=None) -> dict:
     for T in sorted(int(t) for t in t_values):
         sched = dict(base.rho_schedule)
         if kind == "constant":
-            sched["value"] = float(sched["value"]) * math.sqrt(base.T / T)
+            sched["value"] = sched["value"] * math.sqrt(base.T / T)
         cfg = replace(base, T=T, rho_schedule=sched)
         result = run(cfg)
         mean_gn = result.metrics.mean_sampled_grad_norm_sq()

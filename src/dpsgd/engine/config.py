@@ -4,9 +4,12 @@ Field names here are the JSON schema; configs on disk mirror them exactly.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import json
+import typing
 import warnings as _warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any, Callable
 
 from ..errors import ConfigurationError
@@ -16,6 +19,12 @@ DELAY_KINDS = ("none", "fixed", "uniform", "seeded-jitter")
 ENFORCE_POLICIES = ("off", "drop", "block")
 EXECUTION_MODES = ("simulated", "threaded")
 COST_MODES = ("sleep",)
+# each rho schedule kind's own fields, with their defaults
+RHO_FIELDS = {
+    "constant": {"value": 0.0},
+    "power": {"tau0": 1.0, "kappa": 0.5},
+    "theory-constant": {},
+}
 
 
 @dataclass
@@ -144,7 +153,7 @@ class RunConfig:
 
     def validate(self) -> None:
         for name in ("T", "M", "nW", "p", "B"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.eta <= 0:
             raise ConfigurationError("eta must be positive")
@@ -209,37 +218,48 @@ class RunConfig:
             )
 
     def resolve_rho(self) -> Callable[[int], float]:
-        """Turn the schedule spec into rho(t); validates as a side effect."""
+        """Turn the schedule spec into rho(t); validates as a side effect.
+
+        A schedule takes only its kind's fields (RHO_FIELDS), each a JSON
+        number."""
         sched = self.rho_schedule
         kind = sched.get("kind")
+        if not isinstance(kind, str) or kind not in RHO_FIELDS:
+            raise ConfigurationError(f"unknown rho schedule kind {kind!r}")
+        args = dict(RHO_FIELDS[kind])
+        for name, value in sched.items():
+            if name == "kind":
+                continue
+            if name not in args:
+                raise ConfigurationError(
+                    f"unknown {kind} schedule fields: "
+                    f"{sorted(sched.keys() - args.keys() - {'kind'})}")
+            args[name] = _read(value, float, f"{kind} schedule", name)
         if kind == "constant":
-            value = float(sched.get("value", 0.0))
+            value = args["value"]
             if value <= 0:
                 raise ConfigurationError("constant rho needs value > 0")
             return lambda t: value
         if kind == "power":
-            tau0 = float(sched.get("tau0", 1.0))
-            kappa = float(sched.get("kappa", 0.5))
+            tau0, kappa = args["tau0"], args["kappa"]
             if tau0 <= 0 or not 0.5 <= kappa <= 1.0:
                 raise ConfigurationError(
                     "power schedule needs tau0 > 0 and kappa in [0.5, 1]"
                 )
             return lambda t: (tau0 + t) ** (-kappa)
-        if kind == "theory-constant":
-            if self.theory is None:
-                raise ConfigurationError(
-                    "theory-constant schedule requires theory params"
-                )
-            value = rates.theory_constant_rate(
-                self.theory.f0_minus_fstar,
-                self.theory.noise_scale(),
-                self.theory.alpha,
-                self.T,
-                self.M,
-                self.Btilde,
+        if self.theory is None:
+            raise ConfigurationError(
+                "theory-constant schedule requires theory params"
             )
-            return lambda t: value
-        raise ConfigurationError(f"unknown rho schedule kind {kind!r}")
+        value = rates.theory_constant_rate(
+            self.theory.f0_minus_fstar,
+            self.theory.noise_scale(),
+            self.theory.alpha,
+            self.T,
+            self.M,
+            self.Btilde,
+        )
+        return lambda t: value
 
     def theory_warnings(self) -> list[str]:
         """Advisory feasibility check; empty when theory params are absent."""
@@ -268,13 +288,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict[str, Any]) -> "RunConfig":
-        data = dict(require_object(raw, "config"))
-        for name, section in (("delay", DelayModel), ("problem", ProblemSpec),
-                              ("theory", TheoryParams)):
-            # a null theory is the default: no theory params
-            if name in data and not (name == "theory" and data[name] is None):
-                data[name] = build_section(section, data[name], name)
-        cfg = build_section(RunConfig, data, "config")
+        cfg = build_section(RunConfig, raw, "config")
         cfg.validate()
         return cfg
 
@@ -298,23 +312,74 @@ def load_json_object(path, label: str = "config") -> dict[str, Any]:
     return raw
 
 
-def require_object(data, label: str) -> dict[str, Any]:
-    """data if it is a JSON object (a dict); else ConfigurationError
-    naming the label."""
+# the JSON name of each type a field may hold
+_JSON_NAMES = {int: "integer", float: "number", str: "string",
+               bool: "boolean", dict: "object"}
+
+
+@functools.cache
+def _fields(target) -> dict[str, tuple[Any, bool]]:
+    """name -> (type, required) of each keyword argument of target, a
+    dataclass or a class; the annotations are resolved once per target."""
+    hints = typing.get_type_hints(
+        target if is_dataclass(target) else target.__init__)
+    return {name: (hints.get(name, Any), arg.default is arg.empty)
+            for name, arg in inspect.signature(target).parameters.items()}
+
+
+def _is(value, kind) -> bool:
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
+
+
+def _read(value, hint, label: str, name: str, optional: bool = False):
+    """The JSON value of field name in section label, checked against
+    hint; optional when hint is the X of an X | None."""
+    if hint in _JSON_NAMES and _is(value, hint):  # the common case first
+        return value
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if type(None) in args:  # X | None, written X first
+        return None if value is None else _read(value, args[0], label, name,
+                                                optional=True)
+    if is_dataclass(hint):
+        return build_section(hint, value, name)
+    if origin in (list, tuple):
+        if isinstance(value, (list, tuple)):
+            kinds = args if origin is tuple else args * len(value)
+            if len(value) == len(kinds) and all(map(_is, value, kinds)):
+                return origin(value)
+        what = f"a JSON list of {_JSON_NAMES[args[0]]}s"
+    elif hint is Any or (hint is not origin and _is(value, origin)):
+        return value  # Any, or a dict[...] holding a dict
+    else:
+        what = f"a JSON {_JSON_NAMES[origin]}"
+    raise ConfigurationError(f"{label} {name} must be {what}"
+                             f"{' or null' if optional else ''}, got {value!r}")
+
+
+def read_section(target, data, label: str, supplied=()) -> dict[str, Any]:
+    """The keyword arguments for target (a dataclass or a class) in the
+    JSON object data, each of the JSON type target's annotation names: an
+    int is not a bool or a float; a float may be an int, kept as given;
+    X | None also takes null; list[X] and tuple[X, ...] take a JSON list,
+    read as a list or a tuple; a dataclass is a section of its own, named
+    by its field. The arguments in supplied come from the caller, not
+    from data. ConfigurationError names the label and the field."""
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"{label} section must be a JSON object, got {data!r}")
-    return data
+    fields = _fields(target)
+    unknown = [k for k in data if k not in fields or k in supplied]
+    if unknown:
+        raise ConfigurationError(f"unknown {label} fields: {sorted(unknown)}")
+    for name, (_, required) in fields.items():
+        if required and name not in data and name not in supplied:
+            raise ConfigurationError(f"{label} is missing field {name!r}")
+    return {k: _read(v, fields[k][0], label, k) for k, v in data.items()}
 
 
 def build_section(cls, data, label: str):
-    """cls(**data) for a config section read from JSON; ConfigurationError
-    names the label on a section that is not an object, unknown fields or
-    arguments cls refuses."""
-    unknown = set(require_object(data, label)) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigurationError(f"unknown {label} fields: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad {label} section: {exc}")
+    """cls built from the config section data, read by read_section."""
+    return cls(**read_section(cls, data, label))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -129,7 +130,8 @@ class GridworldOracle:
 
 
 def hsa2c_config(env: ToyEnv, *, m: int = 2, t_max: int = 20, **overrides) -> RunConfig:
-    """Engine config for a gridworld run.
+    """Engine config for a gridworld run; its problem params are every
+    ToyEnv field plus t_max, as `dpsgd rl` reads them.
 
     Defaults use a small asynchronous shape (two workers, two threads,
     two local updates, master batch two) with rates tame enough for the
@@ -149,12 +151,7 @@ def hsa2c_config(env: ToyEnv, *, m: int = 2, t_max: int = 20, **overrides) -> Ru
             n=INDEX_POOL,
             dim=env.n_states * (N_ACTIONS + 1),
             batch_size=m,
-            params={
-                "side": env.side,
-                "t_max": t_max,
-                "gamma_rl": env.gamma_rl,
-                "t_max_episode": env.t_max_episode,
-            },
+            params={**asdict(env), "t_max": t_max},
         ),
         execution="simulated",
         grad_norm_every=0,
@@ -175,8 +172,8 @@ def run_hsa2c(
         )
     if params0 is None:
         params0 = ActorCriticParams.zeros(env.n_states)
-    t_max = int(cfg.problem.params.get("t_max", 20))
-    oracle = GridworldOracle(env, cfg.seed, t_max=t_max)
+    oracle = GridworldOracle(env, cfg.seed,
+                             t_max=cfg.problem.params.get("t_max", 20))
     if cfg.problem.dim != oracle.dim:
         raise ConfigurationError(
             f"config dim {cfg.problem.dim} != oracle dim {oracle.dim}"

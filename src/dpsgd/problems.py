@@ -180,13 +180,18 @@ def oracle_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def make_oracle(name: str, **params):
-    """Build a registered oracle; params mirror the constructor arguments."""
+def oracle_class(name: str):
+    """The registered oracle class called name."""
     if name not in _REGISTRY:
         raise ConfigurationError(
             f"unknown problem {name!r}; available: {oracle_names()}"
         )
+    return _REGISTRY[name]
+
+
+def make_oracle(name: str, **params):
+    """Build a registered oracle; params mirror the constructor arguments."""
     try:
-        return _REGISTRY[name](**params)
+        return oracle_class(name)(**params)
     except TypeError as exc:
         raise ConfigurationError(f"bad parameters for problem {name!r}: {exc}")

@@ -1,13 +1,17 @@
 """CLI contract: subcommands, flags, file outputs, exit codes."""
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from dpsgd.bench import ExperimentSpec, read_summary_json
 from dpsgd.bench.cli import main
 from dpsgd.engine import ProblemSpec, RunConfig
-from dpsgd.hsa2c import ToyEnv, hsa2c_config
+from dpsgd.hsa2c import ToyEnv, hsa2c_config, optimal_return, run_hsa2c
+from dpsgd.svi_lda import dpsvi_config, synthetic_corpus
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def write_json(tmp_path, name: str, payload: dict) -> str:
@@ -252,3 +256,146 @@ def test_rl_cli_gridworld(tmp_path):
 def test_rl_cli_rejects_wrong_problem(tmp_path):
     path = write_json(tmp_path, "cfg.json", quad_cfg().to_dict())
     assert main(["rl", "--config", path, "--out-dir", str(tmp_path)]) == 2
+
+
+def _edited(payload: dict, path: str, value) -> dict:
+    """A deep copy of payload with the field at the dotted path set."""
+    out = json.loads(json.dumps(payload))
+    *parents, leaf = path.split(".")
+    node = out
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return out
+
+
+def _run_payload() -> dict:
+    return quad_cfg().to_dict()
+
+
+def _sweep_payload() -> dict:
+    return ExperimentSpec(base=quad_cfg(), nW_list=[1, 2], name="x").to_dict()
+
+
+def _svi_payload() -> dict:
+    return svi_cfg().to_dict()
+
+
+def _rl_payload() -> dict:
+    return hsa2c_config(ToyEnv(side=3), T=4, seed=2).to_dict()
+
+
+# (command, payload, dotted field path, JSON value, field named in the
+# error): each is refused, before anything runs, by validate-config and
+# by the command that would run it
+BAD_FIELDS = [
+    ("run", _run_payload, "T", 10.5, "T"),
+    ("run", _run_payload, "T", "5", "T"),
+    ("run", _run_payload, "eta", "0.1", "eta"),
+    ("run", _run_payload, "seed", 1.5, "seed"),
+    ("run", _run_payload, "problem.n", 10.5, "n"),
+    ("run", _run_payload, "problem.batch_size", True, "batch_size"),
+    ("run", _run_payload, "delay.d_prime_bound", 1.5, "d_prime_bound"),
+    ("sweep", _sweep_payload, "nW_list", [1.5], "nW_list"),
+    ("run", _run_payload, "problem.params", {"box_radiuss": 5.0},
+     "box_radiuss"),
+    ("svi", _svi_payload, "problem.params.K", "many", "K"),
+    ("svi", _svi_payload, "problem.params.corpus.n_docs", "many", "n_docs"),
+    ("svi", _svi_payload, "problem.params.corpus.seed", 2.7, "seed"),
+    ("svi", _svi_payload, "problem.params.corpus.n_docs", True, "n_docs"),
+    ("rl", _rl_payload, "problem.params.t_max_episode", 50.7,
+     "t_max_episode"),
+    ("rl", _rl_payload, "problem.params.t_max", 20.5, "t_max"),
+    ("run", _run_payload, "rho_schedule", {"kind": "power", "tau": 9.0},
+     "tau"),
+]
+
+
+@pytest.mark.parametrize("command, payload, path, value, named", BAD_FIELDS)
+def test_validate_config_rejects_what_the_command_rejects(
+        tmp_path, capsys, command, payload, path, value, named):
+    cfg_path = write_json(tmp_path, "cfg.json",
+                          _edited(payload(), path, value))
+    out = str(tmp_path / "out")
+    for argv in (["validate-config", "--config", cfg_path],
+                 [command, "--config", cfg_path, "--out-dir", out]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_validate_config_builds_no_corpus(tmp_path, monkeypatch, capsys):
+    import dpsgd.bench.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate-config built a corpus")
+
+    monkeypatch.setattr(cli, "synthetic_corpus", refuse)
+    monkeypatch.setattr(cli, "load_uci_bow", refuse)
+    path = write_json(tmp_path, "svi.json", _svi_payload())
+    assert main(["validate-config", "--config", path]) == 0
+    uci = _edited(_svi_payload(), "problem.params.corpus",
+                  {"kind": "uci", "docword": "no/such/docword.txt",
+                   "vocab": "no/such/vocab.txt"})
+    path = write_json(tmp_path, "uci.json", uci)
+    assert main(["validate-config", "--config", path]) == 0
+    assert capsys.readouterr().out.count("ok: run config") == 2
+
+
+@pytest.mark.parametrize("block, named", [
+    ({"kind": "uci", "docword": "d.txt"}, "'vocab'"),
+    ({"kind": "synthetic", "docword": "d.txt"}, "docword"),
+    ({"kind": "zipf"}, "zipf"),
+    ({"n_docs": 60}, "corpus kind"),
+])
+def test_validate_config_reads_corpus_block_by_kind(tmp_path, capsys, block,
+                                                   named):
+    cfg = _edited(_svi_payload(), "problem.params.corpus", block)
+    path = write_json(tmp_path, "svi.json", cfg)
+    assert main(["validate-config", "--config", path]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_rl_cli_runs_the_board_hsa2c_config_wrote(tmp_path):
+    # every ToyEnv field travels in the params, so the CLI plays the same
+    # board as the library call
+    env = ToyEnv(side=3, step_reward=0.0, goal_reward=2.0)
+    cfg = hsa2c_config(env, T=6, seed=4)
+    path = write_json(tmp_path, "rl.json", cfg.to_dict())
+    out = str(tmp_path / "out")
+    assert main(["validate-config", "--config", path]) == 0
+    assert main(["rl", "--config", path, "--out-dir", out]) == 0
+    summary = read_summary_json(os.path.join(out, "gridworld_seed4_summary.json"))
+    _, _, oracle = run_hsa2c(cfg, env)
+    assert summary["optimal_return"] == optimal_return(env) == 2.0
+    assert summary["env_steps"] == oracle.env_steps
+    assert summary["final_mean_return"] == oracle.mean_return_last()
+
+
+def _perfbench_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    return workloads
+
+
+def test_driver_and_benchmark_configs_round_trip(tmp_path, monkeypatch,
+                                                 capsys):
+    # the typed reader refuses nothing the benchmark or the drivers make
+    workloads = _perfbench_workloads(monkeypatch)
+    runnable = [w.config(3) for w in workloads.WORKLOADS.values()
+                if isinstance(w, workloads.EngineWorkload)]
+    runnable.append(hsa2c_config(ToyEnv(side=4, start=(1, 0), goal=(0, 3)),
+                                 t_max=7, seed=3))
+    apps = workloads.Apps().setup(3)
+    corpus, _ = synthetic_corpus(40, 20, 2, seed=1)
+    library_only = [apps["lda_cfg"], apps["a2c_cfg"],
+                    dpsvi_config(corpus, K=2, G=4, seed=3)]
+    assert len(runnable) == 4
+    for cfg in runnable + library_only:
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+    for i, cfg in enumerate(runnable + [apps["a2c_cfg"]]):
+        path = write_json(tmp_path, f"cfg{i}.json", cfg.to_dict())
+        assert main(["validate-config", "--config", path]) == 0
+    assert capsys.readouterr().out.count("ok: run config") == 5

@@ -232,3 +232,92 @@ def test_theory_warnings_only_with_params():
     with pytest.warns(UserWarning):
         msgs = cfg.theory_warnings()
     assert msgs
+
+
+@pytest.mark.parametrize("schedule, match", [
+    ({"kind": "power", "tau": 9.0}, r"unknown power schedule fields: \['tau'\]"),
+    ({"kind": "power", "kappa": True}, "power schedule kappa must be a JSON number"),
+    ({"kind": "constant", "value": "0.1"},
+     "constant schedule value must be a JSON number"),
+    ({"kind": "constant", "value": 0.1, "kappa": 0.5},
+     r"unknown constant schedule fields: \['kappa'\]"),
+    ({"kind": "theory-constant", "value": 0.1},
+     r"unknown theory-constant schedule fields: \['value'\]"),
+    ({"kind": ["power"]}, "unknown rho schedule kind"),
+])
+def test_rho_schedule_takes_only_its_kinds_numbers(schedule, match):
+    theory = TheoryParams(f0_minus_fstar=1.0, L=1.0, V=0.5)
+    with pytest.raises(ConfigurationError, match=match):
+        RunConfig(rho_schedule=schedule, theory=theory).validate()
+    with pytest.raises(ConfigurationError, match=match):
+        RunConfig.from_dict({"rho_schedule": schedule,
+                             "theory": {"f0_minus_fstar": 1.0, "L": 1.0,
+                                        "V": 0.5}})
+
+
+def test_rho_schedule_keeps_an_integer_as_given():
+    assert RunConfig(rho_schedule={"kind": "constant", "value": 1}
+                     ).resolve_rho()(5) == 1
+    rho = RunConfig(rho_schedule={"kind": "power", "tau0": 3, "kappa": 1}
+                    ).resolve_rho()
+    assert rho(1) == 4 ** -1
+
+
+@pytest.mark.parametrize("raw, match", [
+    ({"T": 10.5}, "config T must be a JSON integer, got 10.5"),
+    ({"T": True}, "config T must be a JSON integer, got True"),
+    ({"T": "5"}, "config T must be a JSON integer, got '5'"),
+    ({"eta": "0.1"}, "config eta must be a JSON number"),
+    ({"eta": False}, "config eta must be a JSON number"),
+    ({"execution": 1}, "config execution must be a JSON string"),
+    ({"trace_overwrites": 1}, "config trace_overwrites must be a JSON boolean"),
+    ({"rho_schedule": "constant"}, "config rho_schedule must be a JSON object"),
+    ({"problem": {"data_seed": 2.0}},
+     "problem data_seed must be a JSON integer or null"),
+    ({"problem": {"params": []}}, "problem params must be a JSON object"),
+    ({"delay": {"d_prime_bound": "3"}},
+     "delay d_prime_bound must be a JSON integer or null"),
+    ({"theory": {"f0_minus_fstar": 1.0, "L": 1.0}}, "theory is missing field 'V'"),
+    ({"theory": {"f0_minus_fstar": 1.0, "L": 1.0, "V": 1.0, "D": 0.5}},
+     "theory D must be a JSON integer"),
+])
+def test_from_dict_checks_each_fields_json_type(raw, match):
+    with pytest.raises(ConfigurationError, match=match):
+        RunConfig.from_dict(raw)
+
+
+def test_from_dict_keeps_numbers_as_given():
+    cfg = RunConfig.from_dict({"eta": 1, "compute_cost_s": 0,
+                               "problem": {"data_seed": None}})
+    assert cfg.eta == 1 and type(cfg.eta) is int
+    assert cfg.compute_cost_s == 0 and cfg.problem.data_seed is None
+
+
+def test_section_reader_types():
+    from dataclasses import dataclass
+
+    from dpsgd.engine.config import build_section, read_section
+
+    @dataclass
+    class Cell:
+        at: tuple[int, int]
+        rows: list[int] | None = None
+
+    cell = build_section(Cell, {"at": [1, 2], "rows": [3]}, "cell")
+    assert cell == Cell((1, 2), [3]) and type(cell.at) is tuple
+    for bad in ({"at": [1]}, {"at": [1, 2.0]}, {"at": [1, True]},
+                {"at": 1}):
+        with pytest.raises(ConfigurationError,
+                           match="cell at must be a JSON list of integers"):
+            build_section(Cell, bad, "cell")
+    with pytest.raises(ConfigurationError, match="cell rows must be a JSON "
+                                                 "list of integers or null"):
+        build_section(Cell, {"at": [0, 0], "rows": [1.5]}, "cell")
+    assert build_section(Cell, {"at": [0, 0], "rows": None}, "cell").rows is None
+    with pytest.raises(ConfigurationError, match="cell is missing field 'at'"):
+        build_section(Cell, {}, "cell")
+    # arguments the caller supplies are neither required nor accepted
+    assert read_section(Cell, {"rows": [1]}, "cell", supplied=("at",)) == {
+        "rows": [1]}
+    with pytest.raises(ConfigurationError, match=r"unknown cell fields: \['at'\]"):
+        read_section(Cell, {"at": [0, 0]}, "cell", supplied=("at",))
