@@ -19,6 +19,8 @@ its true topics and the bytes of every document's word ids and counts,
 dtypes included. The wall time of each run goes to stderr, so it stays
 out of the diff. The sim-sigmoid and apps runs use the benchmark's own
 configs (perfbench/workloads.py); the others are written out below.
+tests/test_sim_fingerprint.py checks the eleven lines of _engine_runs
+against their recorded digests on every test run.
 """
 import argparse
 import dataclasses

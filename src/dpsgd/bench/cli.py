@@ -27,7 +27,7 @@ from ..engine import (
 from ..engine.config import build_section, load_json_object, read_section
 from ..errors import ConfigurationError, DpsgdError
 from ..hsa2c import GridworldOracle, ToyEnv, optimal_return, run_hsa2c
-from ..problems import oracle_class
+from ..problems import check_no_params
 from ..svi_lda import (
     LdaModel,
     heldout_split,
@@ -38,7 +38,7 @@ from ..svi_lda import (
     topic_recovery_score,
 )
 from .experiments import ExperimentSpec, run_experiment
-from .metrics import emit_run, result_summary, write_rows_csv, write_summary_json
+from .metrics import emit_run
 
 LDA_SERIES_HEADER = ("wall_clock_s", "effective_docs_seen", "heldout_perplexity")
 RL_SERIES_HEADER = ("wall_clock_s", "env_steps", "mean_return_last_100")
@@ -81,6 +81,9 @@ class LdaParams:
     source: SyntheticCorpus | UciCorpus = field(init=False)
 
     def __post_init__(self):
+        if self.heldout_docs < 0:
+            raise ConfigurationError(f"problem.params heldout_docs must be "
+                                     f">= 0, got {self.heldout_docs}")
         kind = self.corpus.get("kind")
         if not isinstance(kind, str) or kind not in CORPUS_KINDS:
             raise ConfigurationError(f"unknown corpus kind {kind!r}")
@@ -88,22 +91,28 @@ class LdaParams:
 
 
 def _problem_params(problem):
-    """The params of problem as run, svi and rl read them, each field
-    checked by the config reader; builds no data. lda-svi gives an
-    LdaParams, gridworld-a2c a GridworldOracle (the ToyEnv fields plus
-    t_max) and a built-in problem its oracle's constructor arguments."""
+    """The params of problem as run, svi and rl read them, checked by the
+    config reader, and its n and dim where they fix them; builds no data.
+    lda-svi gives an LdaParams, gridworld-a2c a GridworldOracle (ToyEnv
+    fields plus t_max) and a built-in problem, which takes none, None."""
     params, label = problem.params, "problem.params"
     if problem.name == "lda-svi":
-        return build_section(LdaParams, params, label)
+        lda = build_section(LdaParams, params, label)
+        source = lda.source
+        if source.kind == "synthetic":  # svi checks a UCI corpus as it runs
+            problem.check_shape(source.n_docs - lda.heldout_docs,
+                                lda.K * source.vocab_size)
+        return lda
     if problem.name == "gridworld-a2c":
         oracle_args = read_section(
             GridworldOracle, {k: v for k, v in params.items() if k == "t_max"},
             label, supplied=("env", "seed"))
         env = build_section(
             ToyEnv, {k: v for k, v in params.items() if k != "t_max"}, label)
-        return GridworldOracle(env, 0, **oracle_args)
-    return read_section(oracle_class(problem.name), params, label,
-                        supplied=("n", "dim", "seed"))
+        oracle = GridworldOracle(env, 0, **oracle_args)
+        problem.check_shape(oracle.n, oracle.dim)
+        return oracle
+    check_no_params(problem.name, params)
 
 
 def _load_run_config(args, problem: str | None = None):
@@ -112,25 +121,20 @@ def _load_run_config(args, problem: str | None = None):
     cfg = RunConfig.from_dict(load_json_object(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-        cfg.validate()
     if problem is not None and cfg.problem.name != problem:
         raise ConfigurationError(f"{args.command} expects problem.name "
                                  f"{problem!r}, got {cfg.problem.name!r}")
     return cfg, _problem_params(cfg.problem)
 
 
-def _emit_series(out_dir, stem: str, cfg, result, series, extra: dict,
-                 done: str) -> None:
-    """Write <stem>_series.csv, the (header, rows) of series, and
-    <stem>_summary.json, the run summary plus extra, under out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    series_path = os.path.join(out_dir, f"{stem}_series.csv")
-    write_rows_csv(series_path, *series)
-    summary_path = os.path.join(out_dir, f"{stem}_summary.json")
-    write_summary_json(summary_path, {**result_summary(cfg, result), **extra})
-    print(done)
-    print(f"wrote {series_path}")
-    print(f"wrote {summary_path}")
+def _emit(args, stem: str, cfg, result, done: str, series=None,
+          extra=None) -> None:
+    """emit_run, then print done filled from the summary, and the paths."""
+    summary = emit_run(args.out_dir, stem, cfg, result, series, extra)
+    print(done.format(**summary))
+    for name in (summary.get("metrics_csv", f"{stem}_series.csv"),
+                 f"{stem}_summary.json"):
+        print(f"wrote {os.path.join(args.out_dir, name)}")
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -143,37 +147,30 @@ def _parse_address(text: str) -> tuple[str, int]:
         raise ConfigurationError(f"port in {text!r} is not an integer")
 
 
-def _emit_and_report(out_dir, stem: str, cfg: RunConfig, result) -> None:
-    summary = emit_run(out_dir, stem, cfg, result)
-    print(
-        f"run complete: mode={summary['mode']} T={cfg.T} "
-        f"wall_clock_s={result.wall_clock_s:.6g} "
-        f"final_model_norm={summary['final_model_norm']:.10g}"
-    )
-    print(f"wrote {os.path.join(out_dir, summary['metrics_csv'])}")
-    print(f"wrote {os.path.join(out_dir, stem + '_summary.json')}")
-
-
 def _cmd_run(args) -> int:
+    if args.transport != "tcp" and (
+            args.listen, args.master_addr, args.worker_id) != (None,) * 3:
+        raise ConfigurationError(
+            "--listen, --master-addr and --worker-id need --transport tcp")
+    if (args.master_addr is None) != (args.worker_id is None):
+        raise ConfigurationError("--master-addr and --worker-id go together")
     cfg, _ = _load_run_config(args)
     if args.trace_overwrites:
         cfg = replace(cfg, trace_overwrites=True, execution="threaded")
-    if args.transport == "inproc":
+    if args.transport is not None:  # real threads run it, over tcp or not
         cfg = replace(cfg, execution="threaded")
     stem = f"{cfg.problem.name}_seed{cfg.seed}"
 
     if args.transport == "tcp":
         oracle = build_oracle(cfg.problem, cfg.seed)
         init = initial_model(oracle)
-        if args.master_addr:
-            if args.worker_id is None:
-                raise ConfigurationError("--master-addr requires --worker-id")
+        if args.master_addr is not None:
             passes = run_tcp_worker(
                 cfg, oracle, _parse_address(args.master_addr), args.worker_id,
             )
             print(f"worker {args.worker_id} completed {passes} passes")
             return 0
-        if args.listen:
+        if args.listen is not None:
             host, port = _parse_address(args.listen)
             server = TcpMasterServer(cfg, init, host=host, port=port)
             server.start()
@@ -184,7 +181,9 @@ def _cmd_run(args) -> int:
             result = run_tcp(cfg, oracle, init)
     else:
         result = run(cfg)
-    _emit_and_report(args.out_dir, stem, cfg, result)
+    _emit(args, stem, cfg, result,
+          "run complete: mode={mode} T={config[T]} wall_clock_s="
+          "{wall_clock_s:.6g} final_model_norm={final_model_norm:.10g}")
     return 0
 
 
@@ -214,11 +213,6 @@ def _cmd_svi(args) -> int:
     if params.heldout_docs > 0:
         train, heldout = heldout_split(corpus, params.heldout_docs,
                                        params.split_seed)
-    if cfg.problem.n != train.n_docs:
-        raise ConfigurationError(
-            f"problem.n is {cfg.problem.n} but the training corpus has "
-            f"{train.n_docs} documents after the heldout split"
-        )
     model0 = LdaModel.create(
         params.K,
         train.vocab_size,
@@ -231,31 +225,28 @@ def _cmd_svi(args) -> int:
     perp = perplexity(model, heldout)
     docs_seen = result.counters.gradient_evals_applied * cfg.problem.batch_size
     extra = {"heldout_perplexity": perp, "effective_docs_seen": docs_seen,
-             "heldout_docs": heldout.n_docs if params.heldout_docs > 0 else 0}
+             "heldout_docs": params.heldout_docs}
     if true_topics is not None:
         extra["topic_recovery"] = topic_recovery_score(model.mean_beta(),
                                                        true_topics)
-    _emit_series(args.out_dir, f"lda_seed{cfg.seed}", cfg, result,
-                 (LDA_SERIES_HEADER, [(result.wall_clock_s, docs_seen, perp)]),
-                 extra, f"svi complete: perplexity={perp:.6g} "
-                        f"effective_docs_seen={docs_seen}")
+    _emit(args, f"lda_seed{cfg.seed}", cfg, result,
+          "svi complete: perplexity={heldout_perplexity:.6g} "
+          "effective_docs_seen={effective_docs_seen}",
+          (LDA_SERIES_HEADER, [(result.wall_clock_s, docs_seen, perp)]), extra)
     return 0
 
 
 def _cmd_rl(args) -> int:
     cfg, params = _load_run_config(args, "gridworld-a2c")
-    env = params.env
-    _, result, oracle = run_hsa2c(cfg, env)
-    extra = {"optimal_return": optimal_return(env),
+    _, result, oracle = run_hsa2c(cfg, params.env)
+    extra = {"optimal_return": optimal_return(params.env),
              "final_mean_return": oracle.mean_return_last(),
              "env_steps": oracle.env_steps,
              "episodes": len(oracle.episode_returns)}
-    _emit_series(args.out_dir, f"gridworld_seed{cfg.seed}", cfg, result,
-                 (RL_SERIES_HEADER, oracle.history), extra,
-                 f"rl complete: mean_return_last_100="
-                 f"{extra['final_mean_return']:.6g} "
-                 f"optimal={extra['optimal_return']:.6g} "
-                 f"env_steps={oracle.env_steps}")
+    _emit(args, f"gridworld_seed{cfg.seed}", cfg, result,
+          "rl complete: mean_return_last_100={final_mean_return:.6g} "
+          "optimal={optimal_return:.6g} env_steps={env_steps}",
+          (RL_SERIES_HEADER, oracle.history), extra)
     return 0
 
 
@@ -264,8 +255,7 @@ def _cmd_validate(args) -> int:
     if "base" in raw:
         spec = ExperimentSpec.from_dict(raw)
         _problem_params(spec.base.problem)
-        n_runs = len(spec.nW_list) * len(spec.p_list) * len(spec.B_list)
-        print(f"ok: experiment {spec.name!r} with {n_runs} runs")
+        print(f"ok: experiment {spec.name!r} with {len(spec.points())} runs")
     else:
         cfg = RunConfig.from_dict(raw)
         _problem_params(cfg.problem)
@@ -293,12 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one engine run")
     add_common(p_run)
     p_run.add_argument("--transport", choices=("inproc", "tcp"), default=None,
-                       help="inproc forces threaded execution; tcp uses "
-                            "the wire protocol")
-    p_run.add_argument("--listen", default=None, metavar="HOST:PORT",
-                       help="tcp master role: serve on this address")
-    p_run.add_argument("--master-addr", default=None, metavar="HOST:PORT",
-                       help="tcp worker role: connect to this master")
+                       help="either runs real threads (execution "
+                            "threaded); tcp also uses the wire protocol")
+    role = p_run.add_mutually_exclusive_group()
+    role.add_argument("--listen", default=None, metavar="HOST:PORT",
+                      help="tcp master role: serve on this address")
+    role.add_argument("--master-addr", default=None, metavar="HOST:PORT",
+                      help="tcp worker role: connect to this master")
     p_run.add_argument("--worker-id", type=int, default=None,
                        help="worker index for the tcp worker role")
     p_run.add_argument("--trace-overwrites", action="store_true",

@@ -104,13 +104,17 @@ def read_summary_json(path) -> dict[str, Any]:
         return json.load(fh)
 
 
-def emit_run(out_dir, stem: str, cfg: RunConfig, result: RunResult) -> dict[str, Any]:
-    """Write <stem>_metrics.csv and <stem>_summary.json under out_dir."""
+def emit_run(out_dir, stem: str, cfg: RunConfig, result: RunResult,
+             series=None, extra=None) -> dict[str, Any]:
+    """Write series, a (header, rows) pair, to <stem>_series.csv, or the
+    engine's metrics to <stem>_metrics.csv, and <stem>_summary.json, the
+    run summary plus extra, under out_dir; returns the summary."""
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{stem}_metrics.csv")
-    json_path = os.path.join(out_dir, f"{stem}_summary.json")
-    write_metrics_csv(csv_path, result.metrics)
-    summary = result_summary(cfg, result)
-    summary["metrics_csv"] = os.path.basename(csv_path)
-    write_summary_json(json_path, summary)
+    summary = {**result_summary(cfg, result), **(extra or {})}
+    csv_name = f"{stem}_series.csv"
+    if series is None:
+        series = (MetricsSeries.COLUMNS, result.metrics.rows)
+        summary["metrics_csv"] = csv_name = f"{stem}_metrics.csv"
+    write_rows_csv(os.path.join(out_dir, csv_name), *series)
+    write_summary_json(os.path.join(out_dir, f"{stem}_summary.json"), summary)
     return summary

@@ -17,9 +17,9 @@ def derive_data_seed(run_seed: int) -> int:
 
 
 def build_oracle(spec: ProblemSpec, run_seed: int):
+    problems.check_no_params(spec.name, spec.params)
     seed = spec.data_seed if spec.data_seed is not None else derive_data_seed(run_seed)
-    return problems.make_oracle(spec.name, **dict(
-        spec.params, n=spec.n, seed=seed, dim=spec.dim))
+    return problems.make_oracle(spec.name, n=spec.n, dim=spec.dim, seed=seed)
 
 
 def initial_model(oracle) -> np.ndarray:

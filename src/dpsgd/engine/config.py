@@ -123,6 +123,15 @@ class ProblemSpec:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
 
+    def check_shape(self, n: int, dim: int) -> None:
+        """ConfigurationError unless n and dim, those of the problem that
+        runs, are this spec's; names the field that differs."""
+        for key, actual in (("n", n), ("dim", dim)):
+            if getattr(self, key) != actual:
+                raise ConfigurationError(
+                    f"problem.{key} is {getattr(self, key)} but the "
+                    f"{self.name} problem has {key} {actual}")
+
 
 @dataclass
 class RunConfig:

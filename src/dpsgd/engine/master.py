@@ -115,7 +115,6 @@ class Master:
             received_staleness_hist=self.received_hist,
             traces=traces or [],
             theory_warnings=self.theory_warnings,
-            config_echo=self.cfg.to_dict(),
             wall_clock_s=wall_clock_s,
         )
 

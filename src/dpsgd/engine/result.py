@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -116,5 +115,4 @@ class RunResult:
     received_staleness_hist: dict[int, int] = field(default_factory=dict)
     traces: list[TraceBundle] = field(default_factory=list)
     theory_warnings: list[str] = field(default_factory=list)
-    config_echo: dict[str, Any] = field(default_factory=dict)
     wall_clock_s: float = 0.0

@@ -45,7 +45,6 @@ class GridworldOracle:
     name = "gridworld-a2c"
 
     def __init__(self, env: ToyEnv, seed: int, t_max: int = 20):
-        env.validate()
         if t_max < 1:
             raise ConfigurationError(f"t_max must be >= 1, got {t_max}")
         self.env = env
@@ -174,10 +173,7 @@ def run_hsa2c(
         params0 = ActorCriticParams.zeros(env.n_states)
     oracle = GridworldOracle(env, cfg.seed,
                              t_max=cfg.problem.params.get("t_max", 20))
-    if cfg.problem.dim != oracle.dim:
-        raise ConfigurationError(
-            f"config dim {cfg.problem.dim} != oracle dim {oracle.dim}"
-        )
+    cfg.problem.check_shape(oracle.n, oracle.dim)
     result = run_with_oracle(cfg, oracle, init=params0.to_vector())
     params = ActorCriticParams.from_vector(
         result.final.values, env.n_states, N_ACTIONS

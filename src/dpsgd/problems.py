@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+BOX_RADIUS = 10.0  # half-width of both built-in problems' feasible box
+LABEL_NOISE = 0.1  # share of sigmoid labels flipped against the planted rule
 # max |d/dz sigmoid(z)| and max |d^2/dz^2 sigmoid(z)|
 _SIGMOID_D1_MAX = 0.25
 _SIGMOID_D2_MAX = 1.0 / (6.0 * np.sqrt(3.0))
@@ -67,19 +69,17 @@ class QuadraticOracle:
 
     name = "quadratic"
 
-    def __init__(self, n: int, dim: int, seed: int, box_radius: float = 10.0):
+    def __init__(self, n: int, dim: int, seed: int):
         if n < 1 or dim < 1:
             raise ConfigurationError("quadratic oracle needs n >= 1, dim >= 1")
         rng = np.random.default_rng(seed)
         self.n = n
         self.dim = dim
         self.centers = rng.normal(size=(n, dim))
-        self.box = (-box_radius, box_radius)
+        self.box = (-BOX_RADIUS, BOX_RADIUS)
         self.L = 1.0
         center_norms = np.linalg.norm(self.centers, axis=1)
-        self.V_bound = float(
-            box_radius * np.sqrt(dim) + center_norms.max()
-        )
+        self.V_bound = float(BOX_RADIUS * np.sqrt(dim) + center_norms.max())
 
     def grad_at(self, i, x) -> np.ndarray:
         idx = _check_index(i, self.n)
@@ -111,14 +111,7 @@ class SigmoidOracle:
 
     name = "sigmoid"
 
-    def __init__(
-        self,
-        n: int,
-        dim: int,
-        seed: int,
-        label_noise: float = 0.1,
-        box_radius: float = 10.0,
-    ):
+    def __init__(self, n: int, dim: int, seed: int):
         if n < 1 or dim < 1:
             raise ConfigurationError("sigmoid oracle needs n >= 1, dim >= 1")
         rng = np.random.default_rng(seed)
@@ -128,10 +121,10 @@ class SigmoidOracle:
         planted = rng.normal(size=dim)
         labels = np.sign(self.features @ planted)
         labels[labels == 0] = 1.0
-        flips = rng.random(n) < label_noise
+        flips = rng.random(n) < LABEL_NOISE
         labels[flips] *= -1.0
         self.labels = labels
-        self.box = (-box_radius, box_radius)
+        self.box = (-BOX_RADIUS, BOX_RADIUS)
         row_sq = (self.features * self.features).sum(axis=1)
         self.L = float(_SIGMOID_D2_MAX * row_sq.mean())
         self.V_bound = float(_SIGMOID_D1_MAX * np.sqrt(row_sq).max())
@@ -187,6 +180,15 @@ def oracle_class(name: str):
             f"unknown problem {name!r}; available: {oracle_names()}"
         )
     return _REGISTRY[name]
+
+
+def check_no_params(name: str, params) -> None:
+    """ConfigurationError unless name is a built-in problem and params,
+    its problem.params, is empty: it takes only n, dim and a data seed."""
+    oracle_class(name)
+    if params:
+        raise ConfigurationError(f"problem {name!r} takes no params, got "
+                                 f"problem.params fields {sorted(params)}")
 
 
 def make_oracle(name: str, **params):

@@ -151,6 +151,7 @@ def run_dpsvi(
 ) -> tuple[LdaModel, RunResult]:
     """Run the engine over the flattened lambda and unpack the result."""
     oracle = LdaSviOracle(model0, corpus)
+    cfg.problem.check_shape(oracle.n, oracle.dim)
     result = run_with_oracle(cfg, oracle, init=model0.lam.ravel())
     return model0.with_lambda(result.final.values), result
 

@@ -154,6 +154,8 @@ def test_run_tcp_all_in_one(tmp_path):
     summary = read_summary_json(os.path.join(out, "quadratic_seed1_summary.json"))
     assert summary["mode"] == "tcp"
     assert summary["counters"]["pushes_applied"] == 8 * 2
+    # the config asked for a simulated run; real threads ran it
+    assert summary["config"]["execution"] == "threaded"
 
 
 def test_run_rejects_traces_over_tcp(tmp_path):
@@ -166,6 +168,24 @@ def test_worker_role_requires_worker_id(tmp_path):
     path = write_json(tmp_path, "cfg.json", quad_cfg(T=4).to_dict())
     assert main(["run", "--config", path, "--transport", "tcp",
                  "--master-addr", "127.0.0.1:59999"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--listen", "127.0.0.1:5999"],
+    ["--transport", "inproc", "--listen", "127.0.0.1:5999"],
+    ["--master-addr", "127.0.0.1:5999", "--worker-id", "0"],
+    ["--worker-id", "0"],
+    ["--transport", "tcp", "--worker-id", "0"],
+    ["--transport", "tcp", "--listen", "127.0.0.1:5999",
+     "--master-addr", "127.0.0.1:5999", "--worker-id", "0"],
+])
+def test_run_refuses_a_tcp_role_flag_it_would_ignore(tmp_path, flags):
+    # each of these used to run a simulated, threaded or all-in-one tcp
+    # run and exit 0, the flag unused
+    path = write_json(tmp_path, "cfg.json", quad_cfg(T=4).to_dict())
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", path, "--out-dir", out, *flags]) == 2
+    assert not os.path.exists(out)
 
 
 def test_bad_address_exits_2(tmp_path):
@@ -308,6 +328,15 @@ BAD_FIELDS = [
     ("rl", _rl_payload, "problem.params.t_max", 20.5, "t_max"),
     ("run", _run_payload, "rho_schedule", {"kind": "power", "tau": 9.0},
      "tau"),
+    ("svi", _svi_payload, "problem.params.heldout_docs", -1, "heldout_docs"),
+    # the shape a config declares is the shape its problem has: 50
+    # training documents of 60, K * V = 3 * 30, a 3x3 board's 45 weights
+    # and the gridworld's INDEX_POOL episode seeds
+    ("svi", _svi_payload, "problem.n", 55, "problem.n"),
+    ("svi", _svi_payload, "problem.dim", 7, "problem.dim"),
+    ("svi", _svi_payload, "problem.params.K", 4, "problem.dim"),
+    ("rl", _rl_payload, "problem.dim", 7, "problem.dim"),
+    ("rl", _rl_payload, "problem.n", 100, "problem.n"),
 ]
 
 

@@ -110,6 +110,10 @@ def test_oracle_and_runner_validation():
     mismatched = hsa2c_config(ToyEnv(side=3), T=2)
     with pytest.raises(ConfigurationError, match="dim"):
         run_hsa2c(mismatched, env)
+    other_pool = hsa2c_config(env, T=2)
+    other_pool.problem.n = 100
+    with pytest.raises(ConfigurationError, match="problem.n is 100"):
+        run_hsa2c(other_pool, env)
 
 
 def test_hsa2c_config_defaults():

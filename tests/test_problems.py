@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dpsgd.engine import ProblemSpec, build_oracle
 from dpsgd.errors import ConfigurationError
 from dpsgd.problems import (
     QuadraticOracle,
@@ -116,6 +119,23 @@ def test_index_validation_and_registry():
     with pytest.raises(ConfigurationError):
         make_oracle("quadratic", bogus=1)
     assert "sigmoid" in oracle_names()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("quadratic", {"n": 5}),
+    ("quadratic", {"n": 5, "dim": 2}),
+    ("quadratic", {"box_radius": 5.0}),
+    ("sigmoid", {"label_noise": 0.0, "box_radius": 5.0}),
+])
+def test_build_oracle_refuses_any_param(name, params):
+    # n, dim and the data seed come from the spec and nothing else: a
+    # params field neither overrides one nor sets a constant
+    spec = ProblemSpec(name=name, n=100, dim=4, params=params)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"fields {sorted(params)}")):
+        build_oracle(spec, 0)
+    oracle = build_oracle(ProblemSpec(name=name, n=100, dim=4), 0)
+    assert (oracle.n, oracle.dim, oracle.box) == (100, 4, (-10.0, 10.0))
 
 
 NON_INTEGER_INDICES = [1.9, [0.5, 2.2], np.array([1.0]), True, [True, False],

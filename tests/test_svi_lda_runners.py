@@ -103,6 +103,16 @@ def test_oracle_rejects_model_corpus_mismatch():
         LdaSviOracle(wrong_vocab, corpus)
 
 
+@pytest.mark.parametrize("field, value", [("n", 99), ("dim", 4 * 31)])
+def test_run_dpsvi_refuses_a_config_of_another_shape(field, value):
+    # a config's n and dim are the corpus's documents and K * V
+    corpus, _, model0 = small_setup()
+    cfg = dpsvi_config(corpus, K=4, G=4, T=2)
+    setattr(cfg.problem, field, value)
+    with pytest.raises(ConfigurationError, match=f"problem.{field} is"):
+        run_dpsvi(cfg, model0, corpus)
+
+
 def test_oracle_gradient_matches_direct_inference():
     corpus, _, model0 = small_setup(n_docs=20, V=10, K=2)
     oracle = LdaSviOracle(model0, corpus)
