@@ -26,7 +26,8 @@ from ..engine import (
 )
 from ..engine.config import build_section, load_json_object, read_section
 from ..errors import ConfigurationError, DpsgdError
-from ..hsa2c import GridworldOracle, ToyEnv, optimal_return, run_hsa2c
+from ..hsa2c import GridworldOracle, optimal_return, run_hsa2c
+from ..hsa2c.runner import env_from_params
 from ..problems import check_no_params
 from ..svi_lda import (
     LdaModel,
@@ -37,6 +38,8 @@ from ..svi_lda import (
     synthetic_corpus,
     topic_recovery_score,
 )
+from ..svi_lda.corpus import check_heldout, check_synthetic_shape
+from ..svi_lda.model import check_hyperparameters
 from .experiments import ExperimentSpec, run_experiment
 from .metrics import emit_run
 
@@ -53,6 +56,9 @@ class SyntheticCorpus:
     vocab_size: int = 100
     k_topics: int = 5
     seed: int = 42
+
+    def __post_init__(self):
+        check_synthetic_shape(self.n_docs, self.vocab_size, self.k_topics)
 
 
 @dataclass
@@ -81,13 +87,19 @@ class LdaParams:
     source: SyntheticCorpus | UciCorpus = field(init=False)
 
     def __post_init__(self):
+        # each range that svi would refuse once its corpus is built, by
+        # field name and with svi's own rule, before any shape check
         if self.heldout_docs < 0:
             raise ConfigurationError(f"problem.params heldout_docs must be "
                                      f">= 0, got {self.heldout_docs}")
+        check_hyperparameters(self.K, self.zeta, self.alpha_doc)
         kind = self.corpus.get("kind")
         if not isinstance(kind, str) or kind not in CORPUS_KINDS:
             raise ConfigurationError(f"unknown corpus kind {kind!r}")
         self.source = build_section(CORPUS_KINDS[kind], self.corpus, "corpus")
+        if self.heldout_docs and kind == "synthetic":
+            check_heldout(self.heldout_docs, self.source.n_docs,
+                          "problem.params heldout_docs")
 
 
 def _problem_params(problem):
@@ -107,9 +119,7 @@ def _problem_params(problem):
         oracle_args = read_section(
             GridworldOracle, {k: v for k, v in params.items() if k == "t_max"},
             label, supplied=("env", "seed"))
-        env = build_section(
-            ToyEnv, {k: v for k, v in params.items() if k != "t_max"}, label)
-        oracle = GridworldOracle(env, 0, **oracle_args)
+        oracle = GridworldOracle(env_from_params(params), 0, **oracle_args)
         problem.check_shape(oracle.n, oracle.dim)
         return oracle
     check_no_params(problem.name, params)

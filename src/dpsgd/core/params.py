@@ -118,22 +118,27 @@ def apply_global_update(
     """One master iteration: v + rho * sum of the collected update deltas.
 
     Deltas are summed in the order given (first-come first-served order at
-    the master). The result is a fresh immutable vector, so concurrent
-    readers of the old one are unaffected; it is the apply's only copy of
-    the model.
+    the master), from +0.0 even for one update, as the sum's signed zeros
+    are part of the result. An update is anything with an UpdateVector's
+    delta and worker_id. The result is a fresh immutable vector, so
+    concurrent readers of the old one are unaffected; it is the apply's
+    only copy of the model.
     """
     if not updates:
         raise ConfigurationError("apply_global_update needs at least one update")
     if rho <= 0:
         raise ConfigurationError(f"rho must be positive, got {rho}")
-    total = np.zeros(v.dim)
+    values = v.values
+    total = np.zeros(values.shape[0])
     for upd in updates:
-        if upd.dim != v.dim:
+        if upd.delta.shape != total.shape:
             raise ConfigurationError(
-                f"update from worker {upd.worker_id} has dim {upd.dim}, "
-                f"model has dim {v.dim}"
+                f"update from worker {upd.worker_id} has dim "
+                f"{upd.delta.shape[0]}, model has dim {total.shape[0]}"
             )
         total += upd.delta
-    out = v.values + rho * total
-    check_finite(out, "global model after update")
-    return ParamVector._adopt(out)
+    # values + rho * total, in place: addition commutes bit for bit
+    total *= rho
+    total += values
+    check_finite(total, "global model after update")
+    return ParamVector._adopt(total)

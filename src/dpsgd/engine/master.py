@@ -11,6 +11,7 @@ due time by serve(), the one wait loop of both real runtimes.
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -65,25 +66,33 @@ class Master:
             return False
         return True
 
-    def apply(self, batch: list[UpdateVector], now: float) -> None:
-        """One global update from batch, recorded at time now."""
+    def apply(self, batch, now: float) -> None:
+        """One global update from batch, recorded at time now.
+
+        A batch member is an UpdateVector, or anything with its delta,
+        base_version and worker_id (the simulator's pushes).
+        """
         t = self.version
-        stalenesses = [t - upd.base_version for upd in batch]
         self.model = apply_global_update(self.model, batch, self.rho(t))
         v = self.model.values
         self.version = t + 1
         if self._publish is not None:
             self._publish(self.version, v)
         counters = self.counters
+        hist = self.applied_hist
         bound = self._bound
-        for stale in stalenesses:
-            self.applied_hist[stale] = self.applied_hist.get(stale, 0) + 1
+        worst = total = 0  # receive refused every future base
+        for upd in batch:
+            stale = t - upd.base_version
+            hist[stale] = hist.get(stale, 0) + 1
+            total += stale
+            if stale > worst:
+                worst = stale
             if bound is not None and stale > bound:
                 counters.stale_applied_violations += 1
         counters.pushes_applied += len(batch)
         counters.gradient_evals_applied += len(batch) * self.cfg.Btilde
-        gn = float("nan")
-        lo = float("nan")
+        gn = lo = float("nan")
         k_sample = self.cfg.grad_norm_every
         if k_sample and t % k_sample == 0:
             if self._grad_fn is not None:
@@ -91,17 +100,11 @@ class Master:
                 gn = float(g @ g)
             if self._loss_fn is not None:
                 lo = float(self._loss_fn(v))
-        self.metrics.append(
-            t,
-            now,
-            float(np.linalg.norm(v)),
-            max(stalenesses),
-            sum(stalenesses) / len(stalenesses),
-            gn,
-            lo,
-            counters.pushes_received,
-            counters.gradient_evals_applied,
-        )
+        # the norm as np.linalg.norm takes it for a 1-d float64 vector
+        self.metrics.append(t, now, math.sqrt(v @ v), worst,
+                            total / len(batch), gn, lo,
+                            counters.pushes_received,
+                            counters.gradient_evals_applied)
 
     def result(self, mode: str, wall_clock_s: float,
                traces=None) -> RunResult:

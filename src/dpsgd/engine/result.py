@@ -59,11 +59,17 @@ class MetricsSeries:
         messages: int,
         effective_gradients: int,
     ) -> None:
-        row = (t, wall_clock_s, model_norm, batch_max_staleness,
-               batch_mean_staleness, grad_norm_sq, loss, messages,
-               effective_gradients)
-        for column, value in zip(self._columns, row):
-            column.append(value)
+        (c_t, c_wall, c_norm, c_max, c_mean, c_grad, c_loss, c_messages,
+         c_effective) = self._columns
+        c_t.append(t)
+        c_wall.append(wall_clock_s)
+        c_norm.append(model_norm)
+        c_max.append(batch_max_staleness)
+        c_mean.append(batch_mean_staleness)
+        c_grad.append(grad_norm_sq)
+        c_loss.append(loss)
+        c_messages.append(messages)
+        c_effective.append(effective_gradients)
 
     @property
     def rows(self) -> list[tuple]:

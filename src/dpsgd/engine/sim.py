@@ -16,10 +16,15 @@ event time depends on a delta. So a pull only schedules its pass: the
 delta is computed later, at the top of the apply that leaves the pass's
 base version, by which point every pass with that base has been pulled.
 All of them are computed there as one group, by one stepper that makes
-one stacked gradient call per local step for the whole group. An oracle
-without grad_stack is stepped through a one-row adapter over grad_at, as
-groups of one in pull order. The arithmetic per pass is the same either
-way, so runs are bit-identical to computing each pass at its pull.
+one stacked gradient call per local step for the whole group. On a
+built-in oracle the stepper checks the group's whole index block once,
+as grad_stack would check every call, and then calls the oracle's
+unchecked kernel once per step; the public grad_at and grad_stack keep
+every check. An oracle without grad_stack is stepped through a one-row
+adapter over grad_at, as groups of one in pull order. The arithmetic per
+pass is the same either way, so runs are bit-identical to computing each
+pass at its pull. The master applies the simulator's pushes as they are,
+with no UpdateVector wrapped around each.
 
 The master's bookkeeping (drop policy, applies, counters, staleness
 histograms, metrics) is master.Master, the same one the threaded and TCP
@@ -29,14 +34,15 @@ the delay sampler of every runtime.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
-from ..core import UpdateVector, check_finite
+from ..core import check_finite
 from ..errors import ConfigurationError, TransportError
+from ..problems import _check_block
 from .config import RunConfig
 from .master import Master
 from .result import RunResult
@@ -46,63 +52,92 @@ _DELIVER = 0
 _PULL = 1
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Push:
+    """A pulled pass; Master.apply takes it as the pass's update."""
+
     worker_id: int
     base_version: int
     pass_idx: int
     delta: np.ndarray | None = None  # set at the apply leaving base_version
 
 
-def _stacked_deltas(cfg: RunConfig, grad_stack, n: int, group: list[_Push],
-                    v: np.ndarray) -> np.ndarray | None:
-    """The K passes of group, all based on v, stepped together.
+class _Stepper:
+    """Computes the deltas of a run's groups of passes on one oracle.
 
-    Local threads are unrolled thread-major, one valid lock-free execution
-    (every store survives). Thread h's B steps take their indices from one
-    pass_indices draw on its own stream, substream(seed, ROLE_SAMPLE, w, h,
-    pass_idx), so the schedule does not change what is sampled.
-    grad_stack(idx, X) returns one gradient row per row of X. A non-finite
-    gradient raises at once in a group of one; a larger group returns None,
-    and the caller reruns it as groups of one.
+    step(idx, X) returns one gradient row per row of X. It is a built-in
+    oracle's unchecked kernel _grad_stack, whose grad_stack checks every
+    call: the stepper checks each group's whole index block once instead
+    (check_dim is the oracle's dim). Another oracle's grad_stack makes its
+    own checks. An oracle without grad_stack is stepped through a one-row
+    adapter over grad_at, as groups of one in pull order, as computing
+    each pass at its pull would call it (stateful oracles, such as
+    gridworld's episode log, see the same call sequence).
     """
-    size = cfg.problem.batch_size
-    seed, count = cfg.seed, cfg.B * size
-    idx = np.stack([
-        pass_indices(seed, push.worker_id, h, push.pass_idx, n, count)
-        for push in group
-        for h in range(cfg.p)
-    ]).reshape(len(group), cfg.p, cfg.B, size)
-    U = np.repeat(v[None, :], len(group), axis=0)
-    for h in range(cfg.p):
-        for b in range(cfg.B):
-            G = grad_stack(idx[:, h, b], U)
-            if not np.isfinite(G).all():
-                if len(group) == 1:
-                    check_finite(G[0], "local gradient")
-                return None
-            U -= cfg.eta * G
-    return U - v
 
+    def __init__(self, cfg: RunConfig, oracle):
+        self.p, self.B, self.size = cfg.p, cfg.B, cfg.problem.batch_size
+        self.seed, self.eta, self.n = cfg.seed, cfg.eta, oracle.n
+        self.check_dim = None
+        step = getattr(oracle, "grad_stack", None)
+        self.stacks = step is not None
+        if step is None:
+            def step(idx, X):
+                return np.asarray(oracle.grad_at(idx[0], X[0]),
+                                  dtype=float)[None, :]
+        elif hasattr(oracle, "_grad_stack"):
+            step, self.check_dim = oracle._grad_stack, oracle.dim
+        self.step = step
 
-def _compute_group(cfg: RunConfig, oracle, group: list[_Push],
-                   v: np.ndarray) -> None:
-    """Set the delta of every pass in group, all based on model v."""
-    grad_stack = getattr(oracle, "grad_stack", None)
-    deltas = None
-    if grad_stack is None:
-        def grad_stack(idx, X):
-            return np.asarray(oracle.grad_at(idx[0], X[0]), dtype=float)[None, :]
-    else:
-        deltas = _stacked_deltas(cfg, grad_stack, oracle.n, group, v)
-    if deltas is None:
-        # groups of one in pull order, as computing each pass at its pull
-        # would call the oracle (stateful oracles, such as gridworld's
-        # episode log, see the same call sequence)
-        deltas = [_stacked_deltas(cfg, grad_stack, oracle.n, [push], v)[0]
-                  for push in group]
-    for push, delta in zip(group, deltas):
-        push.delta = delta
+    def compute(self, group: list[_Push], v: np.ndarray) -> None:
+        """Set the delta of every pass in group, all based on model v."""
+        deltas = self.deltas(group, v) if self.stacks else None
+        if deltas is None:
+            deltas = [self.deltas([push], v, each_step=True)[0]
+                      for push in group]
+        for push, delta in zip(group, deltas):
+            push.delta = delta
+
+    def deltas(self, group: list[_Push], v: np.ndarray,
+               each_step: bool = False) -> np.ndarray | None:
+        """The K passes of group, all based on v, stepped together.
+
+        Local threads are unrolled thread-major, one valid lock-free
+        execution (every store survives). Thread h's B steps take their
+        indices from one pass_indices draw on its own stream,
+        substream(seed, ROLE_SAMPLE, w, h, pass_idx), so the schedule does
+        not change what is sampled. The group's draws form one
+        (K, p * B * size) block.
+
+        Without each_step, a non-finite value in the stepped rows returns
+        None, and the caller reruns the group as groups of one with
+        each_step, in which a non-finite gradient raises at once: the
+        error of computing each pass alone. A non-finite row means a
+        non-finite gradient or an overflow; either way the rows are
+        computed as they are alone, so a rerun group of one that raises
+        nothing returns the same delta.
+        """
+        K, p, B, size, seed, n = (len(group), self.p, self.B, self.size,
+                                  self.seed, self.n)
+        block = np.concatenate([
+            pass_indices(seed, push.worker_id, h, push.pass_idx, n, B * size)
+            for push in group
+            for h in range(p)
+        ]).reshape(K, -1)
+        U = v[None, :].repeat(K, 0) if K > 1 else np.array(v, ndmin=2)
+        if self.check_dim is not None:
+            _check_block(block, U, n, self.check_dim)
+        step, eta = self.step, self.eta
+        # local step h * B + b takes column block h * B + b of every draw
+        for idx in block.reshape(K, p * B, size).transpose(1, 0, 2):
+            G = step(idx, U)
+            if each_step and not np.isfinite(G).all():
+                check_finite(G[0], "local gradient")
+            U -= eta * G
+        if not (each_step or np.isfinite(U).all()):
+            return None
+        U -= v
+        return U
 
 
 def pass_delays(cfg: RunConfig, w: int, pass_idx: int) -> tuple[float, float]:
@@ -134,9 +169,10 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
         raise ConfigurationError("initial model must be a non-empty vector")
     master = Master(cfg, oracle, v)
     counters = master.counters
+    stepper = _Stepper(cfg, oracle)
 
+    T, M, bound = cfg.T, cfg.M, cfg.delay.d_prime_bound
     block = cfg.delay.enforce == "block"
-    bound = cfg.delay.d_prime_bound
     base_dur = cfg.B * cfg.compute_cost_s  # p threads overlap
     evals_per_pass = cfg.Btilde
     pending: list[_Push] = []  # delivered and kept, not yet applied
@@ -145,14 +181,11 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
     unapplied: list[int | None] = [None] * cfg.nW
     pass_counter = [0] * cfg.nW
 
-    events: list[tuple] = []
-    seq = itertools.count()  # ties at equal (time, kind) go in scheduling order
-
-    def schedule(at: float, kind: int, w: int, push: _Push | None = None) -> None:
-        heapq.heappush(events, (at, kind, next(seq), w, push))
-
-    for w in range(cfg.nW):
-        schedule(0.0, _PULL, w)
+    # (time, kind, seq, worker, push): ties at equal (time, kind) go in
+    # scheduling order
+    seq = itertools.count()
+    events: list[tuple] = [(0.0, _PULL, next(seq), w, None)
+                           for w in range(cfg.nW)]
 
     def gate_open(batch: list[_Push]) -> bool:
         # block policy: advancing to version+1 must leave every not-yet
@@ -163,46 +196,9 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
                    if base is not None and w not in in_batch]
         return not outside or master.version + 1 - min(outside) <= bound
 
-    def compute_deferred() -> None:
-        if deferred:
-            _compute_group(cfg, oracle, deferred, master.model.values)
-            deferred.clear()
-
-    def apply_ready(now: float) -> None:
-        # first come first served; block takes the M oldest bases instead,
-        # and only once the gate lets the version advance
-        while master.version < cfg.T and len(pending) >= cfg.M:
-            if block:
-                batch = sorted(pending, key=lambda q: (q.base_version,
-                                                       q.worker_id))[: cfg.M]
-                if not gate_open(batch):
-                    return
-                if max(master.version - q.base_version for q in batch) > bound:
-                    raise TransportError("staleness gate invariant broken: "
-                                         "batch member exceeds bound")
-                for push in batch:
-                    pending.remove(push)
-            else:
-                batch = pending[: cfg.M]
-                del pending[: cfg.M]
-            compute_deferred()  # the last moment the model is their base
-            master.apply([UpdateVector._adopt(push.delta, push.base_version,
-                                              push.worker_id)
-                          for push in batch], now)
-            if block:
-                for push in batch:
-                    unapplied[push.worker_id] = None
-                    # the worker was waiting for this apply; it resumes now
-                    schedule(now, _PULL, push.worker_id)
-
-    while events and master.version < cfg.T:
-        now, kind, _, w, push = heapq.heappop(events)
-        if kind == _DELIVER:
-            if master.receive(push.base_version, w):
-                pending.append(push)
-                if len(pending) >= cfg.M:
-                    apply_ready(now)
-        else:
+    while events and master.version < T:
+        now, kind, _, w, push = heappop(events)
+        if kind == _PULL:
             # serve a model pull and schedule the pass; its delta waits
             # for the apply that leaves this version
             counters.pulls_served += 1
@@ -215,14 +211,45 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
             deferred.append(push)
             extra, transit = pass_delays(cfg, w, pass_idx)
             dur = base_dur + extra
-            schedule(now + dur + transit, _DELIVER, w, push)
+            heappush(events, (now + dur + transit, _DELIVER, next(seq), w, push))
             if not block:
-                schedule(now + dur, _PULL, w)
+                heappush(events, (now + dur, _PULL, next(seq), w, None))
+            continue
+        if not master.receive(push.base_version, w):
+            continue
+        pending.append(push)
+        # first come first served; block takes the M oldest bases instead,
+        # and only once the gate lets the version advance
+        while master.version < T and len(pending) >= M:
+            if block:
+                batch = sorted(pending, key=lambda q: (q.base_version,
+                                                       q.worker_id))[:M]
+                if not gate_open(batch):
+                    break
+                if max(master.version - q.base_version for q in batch) > bound:
+                    raise TransportError("staleness gate invariant broken: "
+                                         "batch member exceeds bound")
+                for push in batch:
+                    pending.remove(push)
+            else:
+                batch = pending[:M]
+                del pending[:M]
+            if deferred:  # the last moment the model is their base
+                stepper.compute(deferred, master.model.values)
+                deferred.clear()
+            master.apply(batch, now)
+            if block:
+                for push in batch:
+                    unapplied[push.worker_id] = None
+                    # the worker was waiting for this apply; it resumes now
+                    heappush(events, (now, _PULL, next(seq),
+                                      push.worker_id, None))
 
-    if master.version < cfg.T:
-        compute_deferred()  # a failing pass raises its own error first
+    if master.version < T:
+        if deferred:  # a failing pass raises its own error first
+            stepper.compute(deferred, master.model.values)
         raise TransportError(
-            f"simulation starved at version {master.version} of {cfg.T}; "
+            f"simulation starved at version {master.version} of {T}; "
             "the staleness gate or worker pool cannot make progress"
         )
     return master.result("simulated",

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from ..engine import ProblemSpec, RunConfig, RunResult, run_with_oracle
+from ..engine.config import build_section
 from ..engine.rng import ROLE_ENV, pass_indices, substream
 from ..errors import ConfigurationError
 from ..problems import _check_index
@@ -161,10 +162,34 @@ def hsa2c_config(env: ToyEnv, *, m: int = 2, t_max: int = 20, **overrides) -> Ru
     return cfg
 
 
+def env_from_params(params: dict) -> ToyEnv:
+    """The board that gridworld-a2c problem params describe: every field
+    but t_max is a ToyEnv field, and a missing one takes its default."""
+    return build_section(ToyEnv, {k: v for k, v in params.items()
+                                  if k != "t_max"}, "problem.params")
+
+
+def _check_env(env: ToyEnv, params: dict) -> None:
+    """ConfigurationError naming the first ToyEnv field in which env
+    differs from the board params describe."""
+    board = env_from_params(params)
+    for f in fields(ToyEnv):
+        played, said = getattr(env, f.name), getattr(board, f.name)
+        if isinstance(played, list):  # a JSON list reads as a tuple
+            played = tuple(played)
+        if played != said:
+            raise ConfigurationError(
+                f"env {f.name} is {played!r} but problem.params say {said!r}")
+
+
 def run_hsa2c(
     cfg: RunConfig, env: ToyEnv, params0: ActorCriticParams | None = None
 ) -> tuple[ActorCriticParams, RunResult, GridworldOracle]:
-    """Run the engine over the concatenated (theta, theta_v) vector."""
+    """Run the engine over the concatenated (theta, theta_v) vector.
+
+    env must be the board cfg.problem.params describe, which the summary
+    echoes and `dpsgd rl` plays.
+    """
     if cfg.grad_norm_every:
         raise ConfigurationError(
             "rollout objectives have no full gradient; set grad_norm_every=0"
@@ -174,6 +199,7 @@ def run_hsa2c(
     oracle = GridworldOracle(env, cfg.seed,
                              t_max=cfg.problem.params.get("t_max", 20))
     cfg.problem.check_shape(oracle.n, oracle.dim)
+    _check_env(env, cfg.problem.params)
     result = run_with_oracle(cfg, oracle, init=params0.to_vector())
     params = ActorCriticParams.from_vector(
         result.final.values, env.n_states, N_ACTIONS

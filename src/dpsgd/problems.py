@@ -10,7 +10,11 @@ K independent batch gradients in one call: row k must be bitwise equal to
 grad_at(idx[k], X[k]). The simulated engine uses it, when present, to step
 every pass that starts from one model version together. The quadratic and
 sigmoid oracles have it; the LDA and gridworld oracles, like user
-oracles, need not.
+oracles, need not. Their grad_stack checks its block (_check_block) and
+then calls the unchecked kernel _grad_stack. The engine checks each
+group's whole index block (the p * B * size draws of every pass) once,
+the same way, and then calls _grad_stack once per local step; the
+public grad_at and grad_stack keep every check.
 
 Declared smoothness and gradient-norm bounds (L, V_bound) hold on the
 declared feasible box and are deliberately conservative.
@@ -86,9 +90,13 @@ class QuadraticOracle:
         return np.asarray(x, dtype=float) - _row_mean(self.centers[idx])
 
     def grad_stack(self, idx, X) -> np.ndarray:
-        idx, X = _check_block(idx, X, self.n, self.dim)
-        # row k: the same row sum and division as _row_mean
-        return X - np.add.reduce(self.centers[idx], axis=1) / idx.shape[1]
+        return self._grad_stack(*_check_block(idx, X, self.n, self.dim))
+
+    def _grad_stack(self, idx, X) -> np.ndarray:
+        # row k: the same row sum and division as _row_mean; take is
+        # self.centers[idx], faster
+        return (X - np.add.reduce(self.centers.take(idx, axis=0), axis=1)
+                / idx.shape[1])
 
     def full_grad(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) - self.centers.mean(axis=0)
@@ -124,39 +132,44 @@ class SigmoidOracle:
         flips = rng.random(n) < LABEL_NOISE
         labels[flips] *= -1.0
         self.labels = labels
+        # -y_i, a column so an index block gathers it as (K, size, 1)
+        self._neg_labels = -labels[:, None]
         self.box = (-BOX_RADIUS, BOX_RADIUS)
         row_sq = (self.features * self.features).sum(axis=1)
         self.L = float(_SIGMOID_D2_MAX * row_sq.mean())
         self.V_bound = float(_SIGMOID_D1_MAX * np.sqrt(row_sq).max())
 
     @staticmethod
-    def _coeff(labels, margins) -> np.ndarray:
-        z = labels * margins
-        s = 1.0 / (1.0 + np.exp(-z))
-        # d/dx sigmoid(y a.x) ... f_i = sigmoid(-y a.x), so the slope is
-        # -y * s * (1 - s) with s = sigmoid(y a.x)
-        return -labels * s * (1.0 - s)
+    def _coeff(neg_labels, margins) -> np.ndarray:
+        # f_i = sigmoid(-y a.x), so the slope is -y * s * (1 - s) with
+        # s = sigmoid(y a.x) = 1 / (1 + exp(-y a.x)); negation is exact,
+        # so this is bitwise the form that negates y a.x
+        s = 1.0 / (1.0 + np.exp(neg_labels * margins))
+        return neg_labels * s * (1.0 - s)
 
     @classmethod
-    def _grad(cls, rows, labels, x) -> np.ndarray:
-        coeff = cls._coeff(labels, rows @ np.asarray(x, dtype=float))
+    def _grad(cls, rows, neg_labels, x) -> np.ndarray:
+        coeff = cls._coeff(neg_labels, rows @ np.asarray(x, dtype=float))
         return _row_mean(coeff[:, None] * rows)
 
     def grad_at(self, i, x) -> np.ndarray:
         idx = _check_index(i, self.n)
-        return self._grad(self.features[idx], self.labels[idx], x)
+        return self._grad(self.features[idx], self._neg_labels[idx, 0], x)
 
     def grad_stack(self, idx, X) -> np.ndarray:
-        idx, X = _check_block(idx, X, self.n, self.dim)
-        rows = self.features[idx]
+        return self._grad_stack(*_check_block(idx, X, self.n, self.dim))
+
+    def _grad_stack(self, idx, X) -> np.ndarray:
+        rows = self.features.take(idx, axis=0)
+        nl = self._neg_labels.take(idx, axis=0)
         # a matrix-vector product per k, as rows @ x in grad_at (einsum
-        # sums in another order and is not bitwise equal)
-        margins = np.matmul(rows, X[:, :, None])[:, :, 0]
-        coeff = self._coeff(self.labels[idx], margins)
-        return np.add.reduce(coeff[:, :, None] * rows, axis=1) / idx.shape[1]
+        # sums in another order and is not bitwise equal); then _coeff,
+        # written out so that a step is one Python call
+        s = 1.0 / (1.0 + np.exp(nl * np.matmul(rows, X[:, :, None])))
+        return np.add.reduce(nl * s * (1.0 - s) * rows, axis=1) / idx.shape[1]
 
     def full_grad(self, x) -> np.ndarray:
-        return self._grad(self.features, self.labels, x)
+        return self._grad(self.features, self._neg_labels[:, 0], x)
 
     def loss_at(self, x) -> float:
         z = self.labels * (self.features @ np.asarray(x, dtype=float))

@@ -154,6 +154,18 @@ def _check_doc_length(doc_length) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def check_synthetic_shape(n_docs: int, vocab_size: int, k_topics: int) -> None:
+    """ConfigurationError naming the first of k_topics, vocab_size and
+    n_docs that synthetic_corpus cannot draw; needs no data."""
+    if k_topics < 1:
+        raise ConfigurationError(f"k_topics must be >= 1, got {k_topics}")
+    if vocab_size < k_topics:
+        raise ConfigurationError(
+            f"vocab_size must be >= k_topics {k_topics}, got {vocab_size}")
+    if n_docs < 1:
+        raise ConfigurationError(f"n_docs must be >= 1, got {n_docs}")
+
+
 def synthetic_corpus(
     n_docs: int,
     vocab_size: int,
@@ -178,10 +190,7 @@ def synthetic_corpus(
     with the same doubles. ValueError if theta is not a probability
     vector, as ``choice`` raised.
     """
-    if k_topics < 1 or vocab_size < k_topics or n_docs < 1:
-        raise ConfigurationError(
-            "need k_topics >= 1 and vocab_size >= k_topics and n_docs >= 1"
-        )
+    check_synthetic_shape(n_docs, vocab_size, k_topics)
     lo_len, hi_len = _check_doc_length(doc_length)
     rng = np.random.default_rng(seed)
     topics = np.full((k_topics, vocab_size), BACKGROUND_MASS / vocab_size)
@@ -224,12 +233,17 @@ def synthetic_corpus(
     return Corpus(docs=docs, vocab=vocab), topics
 
 
+def check_heldout(n_heldout: int, n_docs: int, name: str = "n_heldout") -> None:
+    """ConfigurationError unless 0 < n_heldout < n_docs, so that a split
+    leaves documents on both sides; name is the field the error names."""
+    if not 0 < n_heldout < n_docs:
+        raise ConfigurationError(
+            f"{name} must be in (0, {n_docs}), got {n_heldout}")
+
+
 def heldout_split(corpus: Corpus, n_heldout: int, seed: int) -> tuple[Corpus, Corpus]:
     """Random (train, heldout) split with n_heldout documents held out."""
-    if not 0 < n_heldout < corpus.n_docs:
-        raise ConfigurationError(
-            f"n_heldout must be in (0, {corpus.n_docs}), got {n_heldout}"
-        )
+    check_heldout(n_heldout, corpus.n_docs)
     rng = np.random.default_rng(seed)
     order = rng.permutation(corpus.n_docs)
     held = set(order[:n_heldout].tolist())

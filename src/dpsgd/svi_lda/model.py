@@ -18,6 +18,17 @@ def init_lambda(K: int, V_vocab: int, seed: int) -> np.ndarray:
     return rng.gamma(_INIT_GAMMA_SHAPE, _INIT_GAMMA_SCALE, size=(K, V_vocab))
 
 
+def check_hyperparameters(K: int, zeta: float, alpha_doc: float) -> None:
+    """ConfigurationError naming the first of K, zeta and alpha_doc out of
+    range: at least one topic and positive Dirichlet concentrations. It
+    needs no data, so a config is checked before its corpus is built."""
+    if K < 1:
+        raise ConfigurationError(f"K must be >= 1, got {K}")
+    for name, value in (("zeta", zeta), ("alpha_doc", alpha_doc)):
+        if not value > 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
+
+
 @dataclass
 class LdaModel:
     """Global variational parameters for one run.
@@ -36,10 +47,9 @@ class LdaModel:
     n_docs: int
 
     def validate(self) -> None:
-        if self.K < 1 or self.V_vocab < 1 or self.n_docs < 1:
-            raise ConfigurationError("K, V_vocab, n_docs must be >= 1")
-        if self.zeta <= 0 or self.alpha_doc <= 0:
-            raise ConfigurationError("zeta and alpha_doc must be positive")
+        check_hyperparameters(self.K, self.zeta, self.alpha_doc)
+        if self.V_vocab < 1 or self.n_docs < 1:
+            raise ConfigurationError("V_vocab and n_docs must be >= 1")
         if self.lam.shape != (self.K, self.V_vocab):
             raise ConfigurationError(
                 f"lambda shape {self.lam.shape} != (K={self.K}, V={self.V_vocab})"

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from dpsgd.core import check_finite
 from dpsgd.hsa2c import (
     Trajectory,
     ac_gradients,
@@ -173,3 +174,34 @@ def synthetic_corpus_reference(n_docs, vocab_size, k_topics, seed,
         docs.append(Document(ids.astype(np.int64), counts[ids]))
     vocab = [f"w{i}" for i in range(vocab_size)]
     return Corpus(docs=docs, vocab=vocab), topics
+
+
+# --- pre-fusion engine arithmetic ---
+
+
+def sigmoid_coeff_reference(labels, margins):
+    """SigmoidOracle's per-row slope as first written: it negates
+    z = y a.x, where the oracle now multiplies by the stored -y."""
+    z = labels * margins
+    s = 1.0 / (1.0 + np.exp(-z))
+    return -labels * s * (1.0 - s)
+
+
+def apply_global_update_reference(v, updates, rho):
+    """apply_global_update's values as first written: a fresh sum of the
+    deltas from +0.0, then v + rho * sum into a new array, checked."""
+    total = np.zeros(v.dim)
+    for upd in updates:
+        total += upd.delta
+    out = v.values + rho * total
+    check_finite(out, "global model after update")
+    return out
+
+
+def same_bits(a, b) -> bool:
+    """Equal values with equal signs of zero; NaNs match any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    if not np.array_equal(a, b, equal_nan=True):
+        return False
+    seen = ~np.isnan(a)
+    return np.array_equal(np.signbit(a[seen]), np.signbit(b[seen]))

@@ -337,6 +337,14 @@ BAD_FIELDS = [
     ("svi", _svi_payload, "problem.params.K", 4, "problem.dim"),
     ("rl", _rl_payload, "problem.dim", 7, "problem.dim"),
     ("rl", _rl_payload, "problem.n", 100, "problem.n"),
+    # lda-svi ranges, refused by name before the shape check
+    ("svi", _svi_payload, "problem.params.K", 0, "K must be >= 1"),
+    ("svi", _svi_payload, "problem.params.zeta", -1.0, "zeta must be"),
+    ("svi", _svi_payload, "problem.params.alpha_doc", 0.0, "alpha_doc must be"),
+    ("svi", _svi_payload, "problem.params.corpus.k_topics", 0,
+     "k_topics must be >= 1"),
+    ("svi", _svi_payload, "problem.params.heldout_docs", 60,
+     "heldout_docs must be"),
 ]
 
 
@@ -371,6 +379,19 @@ def test_validate_config_builds_no_corpus(tmp_path, monkeypatch, capsys):
     path = write_json(tmp_path, "uci.json", uci)
     assert main(["validate-config", "--config", path]) == 0
     assert capsys.readouterr().out.count("ok: run config") == 2
+
+
+@pytest.mark.parametrize("field, value", [("K", 0), ("zeta", -1.0)])
+def test_validate_config_checks_lda_ranges_on_a_uci_corpus(tmp_path, capsys,
+                                                           field, value):
+    # no corpus is read, so a range error cannot wait for svi to read one
+    uci = _edited(_svi_payload(), "problem.params.corpus",
+                  {"kind": "uci", "docword": "no/such/docword.txt",
+                   "vocab": "no/such/vocab.txt"})
+    path = write_json(tmp_path, "uci.json",
+                      _edited(uci, f"problem.params.{field}", value))
+    assert main(["validate-config", "--config", path]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block, named", [

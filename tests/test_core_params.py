@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from _oracles import apply_global_update_reference, same_bits
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpsgd.core import ParamVector, UpdateVector, apply_global_update
 from dpsgd.errors import ConfigurationError, NumericFaultError
@@ -91,3 +95,39 @@ def test_apply_matches_direct_sum(dim, rows, rho, data):
         expected += d
     expected = rho * expected
     assert np.allclose(out.values, expected, rtol=1e-12, atol=1e-12)
+
+
+# values whose sum's sign of zero matters, and values large enough that
+# rho * sum or v + rho * sum overflows
+apply_values = st.sampled_from([0.0, -0.0, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), M=st.sampled_from([1, 3]),
+       rho=st.sampled_from([0.5, 1.0, 1e30]) | st.floats(1e-3, 2.0))
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_in_place_apply_is_bitwise_the_fresh_sum(data, dim, M, rho):
+    v = ParamVector(data.draw(arrays(np.float64, dim, elements=apply_values)))
+    ups = [UpdateVector(data.draw(arrays(np.float64, dim,
+                                         elements=apply_values)), 0, i)
+           for i in range(M)]
+    try:
+        want = apply_global_update_reference(v, ups, rho)
+    except NumericFaultError as exc:
+        # the same error, naming the same first non-finite dimension
+        with pytest.raises(NumericFaultError, match=re.escape(str(exc))):
+            apply_global_update(v, ups, rho)
+        return
+    assert same_bits(apply_global_update(v, ups, rho).values, want)
+
+
+def test_apply_keeps_the_sign_of_a_zero_sum():
+    # the sum starts from +0.0, so a lone -0.0 delta sums to +0.0 and
+    # v's -0.0 becomes -0.0 + rho * 0.0 = +0.0; a sum started from the
+    # delta itself would keep -0.0
+    v = ParamVector(np.array([-0.0, -0.0, 1.0]))
+    ups = [UpdateVector(np.array([-0.0, 0.0, -0.0]), 0, 0)]
+    out = apply_global_update(v, ups, 0.5).values
+    assert same_bits(out, [0.0, 0.0, 1.0])
+    assert same_bits(out, apply_global_update_reference(v, ups, 0.5))

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import same_bits
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from test_engine_rates_rng import fresh_draw_tables
 from test_engine_threaded import recorded_pass_draws
 
@@ -16,6 +18,8 @@ from dpsgd.engine import (
     substream,
 )
 from dpsgd.engine import sim
+from dpsgd.core import UpdateVector
+from dpsgd.engine.master import Master
 from dpsgd.engine.rng import ROLE_DELAY, ROLE_ENV, ROLE_SAMPLE
 from dpsgd.engine.sim import run_simulated
 from dpsgd.errors import ConfigurationError, NumericFaultError, TransportError
@@ -295,12 +299,16 @@ def test_pass_delays_equal_generator_uniform_draws(seed, w, c, low, span,
 
 
 class CountingOracle:
-    """Counts the engine's grad_at and grad_stack calls on an oracle."""
+    """Counts the engine's calls into an oracle: grad_at, grad_stack and
+    the unchecked kernel _grad_stack that the engine calls on a built-in
+    oracle. The kernel is counted here because __getattr__ would forward
+    it uncounted."""
 
     def __init__(self, oracle):
         self._oracle = oracle
         self.grad_at_calls = 0
         self.grad_stack_calls = 0
+        self.kernel_calls = 0
 
     def grad_at(self, i, x):
         self.grad_at_calls += 1
@@ -310,14 +318,18 @@ class CountingOracle:
         self.grad_stack_calls += 1
         return self._oracle.grad_stack(idx, X)
 
+    def _grad_stack(self, idx, X):
+        self.kernel_calls += 1
+        return self._oracle._grad_stack(idx, X)
+
     def __getattr__(self, name):
         return getattr(self._oracle, name)
 
 
-def test_stacked_oracle_call_budget():
-    # the benchmark's sim-sigmoid shape: counts only, never time
-    cfg = RunConfig(
-        T=200, M=2, nW=4, p=2, B=2, eta=0.05,
+def sim_sigmoid_shape(T=200):
+    # the benchmark's sim-sigmoid config
+    return RunConfig(
+        T=T, M=2, nW=4, p=2, B=2, eta=0.05,
         rho_schedule={"kind": "constant", "value": 0.5},
         seed=1,
         problem=ProblemSpec(name="sigmoid", n=2000, dim=20, batch_size=4),
@@ -327,14 +339,49 @@ def test_stacked_oracle_call_budget():
                          d_prime_bound=4, enforce="drop"),
         grad_norm_every=10,
     )
+
+
+def test_stacked_oracle_call_budget():
+    # counts only, never time
+    cfg = sim_sigmoid_shape()
     oracle = CountingOracle(build_oracle(cfg.problem, cfg.seed))
     res = run_with_oracle(cfg, oracle)
     steps = cfg.p * cfg.B
-    assert oracle.grad_at_calls == 0
-    assert 0 < oracle.grad_stack_calls <= steps * res.version
-    assert oracle.grad_stack_calls % steps == 0
+    # the engine steps through the unchecked kernel, never the checked
+    # grad_stack, one kernel call per local step of a whole group
+    assert oracle.grad_at_calls == oracle.grad_stack_calls == 0
+    assert 0 < oracle.kernel_calls <= steps * res.version
+    assert oracle.kernel_calls % steps == 0
     # one stacked call per local step serves every pass of its group
-    assert res.counters.gradient_evals_computed > oracle.grad_stack_calls
+    assert res.counters.gradient_evals_computed > oracle.kernel_calls
+
+
+def test_engine_checks_each_groups_index_block_once(monkeypatch):
+    # counts only, never time
+    checks = []
+    check_block = sim._check_block
+
+    def recording(idx, X, n, dim):
+        checks.append((idx.shape, X.shape, n, dim))
+        return check_block(idx, X, n, dim)
+
+    monkeypatch.setattr(sim, "_check_block", recording)
+    cfg = sim_sigmoid_shape()
+    oracle = CountingOracle(build_oracle(cfg.problem, cfg.seed))
+    res = run_with_oracle(cfg, oracle)
+    steps = cfg.p * cfg.B
+    # one check per group, of all p * B * batch_size draws of every pass
+    assert len(checks) * steps == oracle.kernel_calls
+    for (K, draws), X_shape, n, dim in checks:
+        assert draws == steps * cfg.problem.batch_size
+        assert X_shape == (K, oracle.dim) and (n, dim) == (oracle.n, oracle.dim)
+    computed = sum(idx_shape[0] for idx_shape, *_ in checks)
+    assert res.version * cfg.M <= computed <= res.counters.pulls_served
+    assert computed > len(checks)  # groups really stack
+    # the check is grad_stack's, with its message
+    with pytest.raises(ConfigurationError,
+                       match=r"grad_stack needs idx\[K, size\] and X\[K, 20\]"):
+        run_simulated(cfg, oracle, np.zeros(oracle.dim + 1))
 
 
 def test_pass_by_pass_oracle_call_budget(monkeypatch):
@@ -342,23 +389,13 @@ def test_pass_by_pass_oracle_call_budget(monkeypatch):
     # computed pass makes exactly p * B grad_at calls; counts only, never
     # time
     calls = recorded_pass_draws(monkeypatch)
-    cfg = RunConfig(
-        T=200, M=2, nW=4, p=2, B=2, eta=0.05,
-        rho_schedule={"kind": "constant", "value": 0.5},
-        seed=1,
-        problem=ProblemSpec(name="sigmoid", n=2000, dim=20, batch_size=4),
-        execution="simulated",
-        compute_cost_s=1e-3,
-        delay=DelayModel(kind="uniform", low=0.0, high=4e-3,
-                         d_prime_bound=4, enforce="drop"),
-        grad_norm_every=10,
-    )
+    cfg = sim_sigmoid_shape()
     oracle = CountingOracle(build_oracle(cfg.problem, cfg.seed))
     res = run_with_oracle(cfg, PerPass(oracle))
     computed = [(w, c) for role, (w, h, c) in
                 ((r, k) for r, k in calls if r == ROLE_SAMPLE) if h == 0]
     assert len(set(computed)) == len(computed) >= res.version * cfg.M
-    assert oracle.grad_stack_calls == 0
+    assert oracle.grad_stack_calls == oracle.kernel_calls == 0
     assert oracle.grad_at_calls == cfg.p * cfg.B * len(computed)
 
 
@@ -508,3 +545,17 @@ def test_pending_pass_fault_raises_before_starvation():
     healthy = build_oracle(cfg.problem, cfg.seed)
     with pytest.raises(TransportError, match="starved"):
         run_simulated(cfg, healthy, np.zeros(healthy.dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.integers(1, 40), elements=st.sampled_from(
+    [0.0, -0.0, 1e-320, 1e200, -1e200, 1e308]) | st.floats(
+        allow_nan=False, allow_infinity=False)))
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_model_norm_is_bitwise_numpy_norm(x):
+    # the master's model_norm column, for the model a zero delta leaves
+    cfg = quad_config(problem=ProblemSpec(name="quadratic", n=5, dim=x.size))
+    master = Master(cfg, object(), x)
+    master.apply([UpdateVector(np.zeros(x.size), 0, 0)], 0.0)
+    norm = master.metrics.column("model_norm")[0]
+    assert same_bits(norm, np.linalg.norm(master.model.values))

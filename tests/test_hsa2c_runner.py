@@ -116,6 +116,38 @@ def test_oracle_and_runner_validation():
         run_hsa2c(other_pool, env)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("goal_reward", 2.0), ("step_reward", 0.0), ("gamma_rl", 0.9),
+    ("t_max_episode", 30), ("start", (1, 0)), ("goal", (0, 2)),
+])
+def test_run_hsa2c_refuses_an_env_its_config_does_not_describe(field, value):
+    # a board of the config's shape but another field: the run would play
+    # one board while its summary echoes another
+    said = ToyEnv(side=3, **{field: value})
+    cfg = hsa2c_config(said, T=2, seed=1)
+    with pytest.raises(ConfigurationError, match=f"env {field} is"):
+        run_hsa2c(cfg, ToyEnv(side=3))
+
+
+def test_run_hsa2c_names_the_first_field_that_differs():
+    # in ToyEnv's field order: step_reward comes before goal_reward
+    cfg = hsa2c_config(ToyEnv(side=3, step_reward=0.0, goal_reward=2.0),
+                       T=2, seed=1)
+    with pytest.raises(ConfigurationError,
+                       match=r"env step_reward is -0\.01 but problem.params "
+                             r"say 0\.0"):
+        run_hsa2c(cfg, ToyEnv(side=3))
+
+
+def test_run_hsa2c_plays_the_board_its_config_describes():
+    # a JSON list reads as the tuple the env holds
+    env = ToyEnv(side=3, start=[0, 1])
+    cfg = hsa2c_config(env, T=2, seed=1)
+    assert cfg.problem.params["start"] == [0, 1]
+    _, result, _ = run_hsa2c(cfg, env)
+    assert result.version == 2
+
+
 def test_hsa2c_config_defaults():
     env = ToyEnv()
     cfg = hsa2c_config(env)

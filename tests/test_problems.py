@@ -2,7 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from _oracles import same_bits, sigmoid_coeff_reference
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpsgd.engine import ProblemSpec, build_oracle
 from dpsgd.errors import ConfigurationError
@@ -242,3 +244,35 @@ def test_grad_stack_checks_its_index_block_and_points(oracle):
                            (ok, np.zeros((2, oracle.dim + 1)))):
         with pytest.raises(ConfigurationError, match="grad_stack needs"):
             oracle.grad_stack(bad_idx, bad_X)
+
+
+# the margins and labels a coefficient can meet: signed zeros, infinities,
+# margins whose exp overflows, and the oracle's +-1 labels among others
+margins = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 709.0, 710.0, -745.5,
+                           1e300]) | st.floats(allow_nan=False)
+labels = st.sampled_from([1.0, -1.0]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), size=st.integers(1, 12))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_coefficient_is_bitwise_the_negated_margin_form(data, size):
+    y = data.draw(arrays(np.float64, size, elements=labels))
+    m = data.draw(arrays(np.float64, size, elements=margins))
+    assert same_bits(SigmoidOracle._coeff(-y, m), sigmoid_coeff_reference(y, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), K=st.integers(1, 4), size=st.integers(1, 5))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_kernel_is_bitwise_the_negated_margin_form(data, K, size):
+    # the kernel writes the coefficient out; X reaches the extremes
+    oracle = SigmoidOracle(n=30, dim=3, seed=5)
+    idx = data.draw(arrays(np.int64, (K, size), elements=st.integers(0, 29)))
+    X = data.draw(arrays(np.float64, (K, 3), elements=margins))
+    G = oracle.grad_stack(idx, X)
+    for k in range(K):
+        rows = oracle.features[idx[k]]
+        coeff = sigmoid_coeff_reference(oracle.labels[idx[k]], rows @ X[k])
+        want = np.add.reduce(coeff[:, None] * rows, axis=0) / size
+        assert same_bits(G[k], want)
