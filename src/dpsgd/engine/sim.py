@@ -12,19 +12,24 @@ t is based on model version t. That is the degenerate synchronous case
 the straight-line references reproduce.
 
 A pass's delta depends only on (worker, pass index, base model), and no
-event time depends on a delta. So a pull only schedules its pass: the
-delta is computed later, at the top of the apply that leaves the pass's
-base version, by which point every pass with that base has been pulled.
-All of them are computed there as one group, by one stepper that makes
-one stacked gradient call per local step for the whole group. On a
-built-in oracle the stepper checks the group's whole index block once,
-as grad_stack would check every call, and then calls the oracle's
-unchecked kernel once per step; the public grad_at and grad_stack keep
-every check. An oracle without grad_stack is stepped through a one-row
-adapter over grad_at, as groups of one in pull order. The arithmetic per
-pass is the same either way, so runs are bit-identical to computing each
-pass at its pull. The master applies the simulator's pushes as they are,
-with no UpdateVector wrapped around each.
+event time depends on a delta. So a pull only schedules its pass and
+keeps its base model (models are immutable): the delta is computed
+later, when an apply first takes a batch that holds the pass. Every
+pulled pass's base model is known by then, so all passes not yet
+computed are computed there, across base versions, as one stack in pull
+order: one stepper makes one stacked gradient call per local step for
+the whole stack, each row stepped from its own base. On a built-in
+oracle the stepper checks the stack's whole index block once, as
+grad_stack would check every call, and then calls the oracle's unchecked
+kernel once per step; the public grad_at and grad_stack keep every
+check. An oracle without grad_stack is stepped through a one-row adapter
+over grad_at, as stacks of one in pull order. The arithmetic per pass is
+the same either way, so runs are bit-identical to computing each pass at
+its pull. Before any error leaves the event loop, and at the end of
+every run, the passes not yet computed are computed, so every pass based
+on a version below T is computed and a failing pass raises its own error
+first. The master applies the simulator's pushes as they are, with no
+UpdateVector wrapped around each.
 
 The master's bookkeeping (drop policy, applies, counters, staleness
 histograms, metrics) is master.Master, the same one the threaded and TCP
@@ -59,25 +64,30 @@ class _Push:
     worker_id: int
     base_version: int
     pass_idx: int
-    delta: np.ndarray | None = None  # set at the apply leaving base_version
+    base: np.ndarray  # the model of base_version
+    delta: np.ndarray | None = None  # set when an apply first takes it
 
 
 class _Stepper:
-    """Computes the deltas of a run's groups of passes on one oracle.
+    """Computes the deltas of a run's pulled passes on one oracle.
 
-    step(idx, X) returns one gradient row per row of X. It is a built-in
-    oracle's unchecked kernel _grad_stack, whose grad_stack checks every
-    call: the stepper checks each group's whole index block once instead
-    (check_dim is the oracle's dim). Another oracle's grad_stack makes its
-    own checks. An oracle without grad_stack is stepped through a one-row
-    adapter over grad_at, as groups of one in pull order, as computing
-    each pass at its pull would call it (stateful oracles, such as
-    gridworld's episode log, see the same call sequence).
+    deferred holds the pulled passes not yet computed, in pull order;
+    compute() steps them all as one stack, each from its own base, and
+    empties it. step(idx, X) returns one gradient row per row of X. It
+    is a built-in oracle's unchecked kernel _grad_stack, whose grad_stack
+    checks every call: the stepper checks each stack's whole index block
+    once instead (check_dim is the oracle's dim). Another oracle's
+    grad_stack makes its own checks. An oracle without grad_stack is
+    stepped through a one-row adapter over grad_at, as stacks of one in
+    pull order, as computing each pass at its pull would call it
+    (stateful oracles, such as gridworld's episode log, see the same call
+    sequence).
     """
 
     def __init__(self, cfg: RunConfig, oracle):
         self.p, self.B, self.size = cfg.p, cfg.B, cfg.problem.batch_size
         self.seed, self.eta, self.n = cfg.seed, cfg.eta, oracle.n
+        self.deferred: list[_Push] = []
         self.check_dim = None
         step = getattr(oracle, "grad_stack", None)
         self.stacks = step is not None
@@ -89,25 +99,35 @@ class _Stepper:
             step, self.check_dim = oracle._grad_stack, oracle.dim
         self.step = step
 
-    def compute(self, group: list[_Push], v: np.ndarray) -> None:
-        """Set the delta of every pass in group, all based on model v."""
-        deltas = self.deltas(group, v) if self.stacks else None
-        if deltas is None:
-            deltas = [self.deltas([push], v, each_step=True)[0]
-                      for push in group]
+    def compute(self) -> None:
+        """Set the delta of every deferred pass, and empty deferred.
+
+        deferred is emptied first, so a pass whose error leaves here is
+        never computed again. numpy's invalid-value and overflow warnings
+        are silenced: the finite checks of deltas() raise on what they
+        would warn about.
+        """
+        group, self.deferred = self.deferred, []
+        if not group:
+            return
+        with np.errstate(invalid="ignore", over="ignore"):
+            deltas = self.deltas(group) if self.stacks else None
+            if deltas is None:
+                deltas = [self.deltas([push], each_step=True)[0]
+                          for push in group]
         for push, delta in zip(group, deltas):
             push.delta = delta
 
-    def deltas(self, group: list[_Push], v: np.ndarray,
+    def deltas(self, group: list[_Push],
                each_step: bool = False) -> np.ndarray | None:
-        """The K passes of group, all based on v, stepped together.
+        """The K passes of group stepped together, each from its own base.
 
         Local threads are unrolled thread-major, one valid lock-free
         execution (every store survives). Thread h's B steps take their
         indices from one pass_indices draw on its own stream,
         substream(seed, ROLE_SAMPLE, w, h, pass_idx), so the schedule does
         not change what is sampled. The group's draws form one
-        (K, p * B * size) block.
+        (K, p * B * size) block, and its bases one (K, dim) matrix V.
 
         Without each_step, a non-finite value in the stepped rows returns
         None, and the caller reruns the group as groups of one with
@@ -119,12 +139,15 @@ class _Stepper:
         """
         K, p, B, size, seed, n = (len(group), self.p, self.B, self.size,
                                   self.seed, self.n)
-        block = np.concatenate([
-            pass_indices(seed, push.worker_id, h, push.pass_idx, n, B * size)
-            for push in group
-            for h in range(p)
-        ]).reshape(K, -1)
-        U = v[None, :].repeat(K, 0) if K > 1 else np.array(v, ndmin=2)
+        draws, bases = [], []
+        for push in group:
+            bases.append(push.base)
+            for h in range(p):
+                draws.append(pass_indices(seed, push.worker_id, h,
+                                          push.pass_idx, n, B * size))
+        block = np.concatenate(draws).reshape(K, -1)
+        V = np.array(bases)
+        U = V.copy()
         if self.check_dim is not None:
             _check_block(block, U, n, self.check_dim)
         step, eta = self.step, self.eta
@@ -136,7 +159,7 @@ class _Stepper:
             U -= eta * G
         if not (each_step or np.isfinite(U).all()):
             return None
-        U -= v
+        U -= V
         return U
 
 
@@ -176,7 +199,6 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
     base_dur = cfg.B * cfg.compute_cost_s  # p threads overlap
     evals_per_pass = cfg.Btilde
     pending: list[_Push] = []  # delivered and kept, not yet applied
-    deferred: list[_Push] = []  # pulled passes, all based on master.version
     # block: the base of worker w's one unapplied push, None when it has none
     unapplied: list[int | None] = [None] * cfg.nW
     pass_counter = [0] * cfg.nW
@@ -196,58 +218,66 @@ def run_simulated(cfg: RunConfig, oracle, init) -> RunResult:
                    if base is not None and w not in in_batch]
         return not outside or master.version + 1 - min(outside) <= bound
 
-    while events and master.version < T:
-        now, kind, _, w, push = heappop(events)
-        if kind == _PULL:
-            # serve a model pull and schedule the pass; its delta waits
-            # for the apply that leaves this version
-            counters.pulls_served += 1
-            pass_idx = pass_counter[w]
-            pass_counter[w] += 1
-            counters.gradient_evals_computed += evals_per_pass
-            push = _Push(w, master.version, pass_idx)
-            if block:
-                unapplied[w] = push.base_version
-            deferred.append(push)
-            extra, transit = pass_delays(cfg, w, pass_idx)
-            dur = base_dur + extra
-            heappush(events, (now + dur + transit, _DELIVER, next(seq), w, push))
-            if not block:
-                heappush(events, (now + dur, _PULL, next(seq), w, None))
-            continue
-        if not master.receive(push.base_version, w):
-            continue
-        pending.append(push)
-        # first come first served; block takes the M oldest bases instead,
-        # and only once the gate lets the version advance
-        while master.version < T and len(pending) >= M:
-            if block:
-                batch = sorted(pending, key=lambda q: (q.base_version,
-                                                       q.worker_id))[:M]
-                if not gate_open(batch):
-                    break
-                if max(master.version - q.base_version for q in batch) > bound:
-                    raise TransportError("staleness gate invariant broken: "
-                                         "batch member exceeds bound")
+    try:
+        while events and master.version < T:
+            now, kind, _, w, push = heappop(events)
+            if kind == _PULL:
+                # serve a model pull and schedule the pass; its delta waits
+                # for the first apply that takes it
+                counters.pulls_served += 1
+                pass_idx = pass_counter[w]
+                pass_counter[w] += 1
+                counters.gradient_evals_computed += evals_per_pass
+                push = _Push(w, master.version, pass_idx, master.model.values)
+                if block:
+                    unapplied[w] = push.base_version
+                stepper.deferred.append(push)
+                extra, transit = pass_delays(cfg, w, pass_idx)
+                dur = base_dur + extra
+                heappush(events, (now + dur + transit, _DELIVER, next(seq),
+                                  w, push))
+                if not block:
+                    heappush(events, (now + dur, _PULL, next(seq), w, None))
+                continue
+            if not master.receive(push.base_version, w):
+                continue
+            pending.append(push)
+            # first come first served; block takes the M oldest bases
+            # instead, and only once the gate lets the version advance
+            while master.version < T and len(pending) >= M:
+                if block:
+                    batch = sorted(pending, key=lambda q: (q.base_version,
+                                                           q.worker_id))[:M]
+                    if not gate_open(batch):
+                        break
+                    if max(master.version - q.base_version
+                           for q in batch) > bound:
+                        raise TransportError("staleness gate invariant "
+                                             "broken: batch member exceeds "
+                                             "bound")
+                    for push in batch:
+                        pending.remove(push)
+                else:
+                    batch = pending[:M]
+                    del pending[:M]
                 for push in batch:
-                    pending.remove(push)
-            else:
-                batch = pending[:M]
-                del pending[:M]
-            if deferred:  # the last moment the model is their base
-                stepper.compute(deferred, master.model.values)
-                deferred.clear()
-            master.apply(batch, now)
-            if block:
-                for push in batch:
-                    unapplied[push.worker_id] = None
-                    # the worker was waiting for this apply; it resumes now
-                    heappush(events, (now, _PULL, next(seq),
-                                      push.worker_id, None))
-
+                    if push.delta is None:  # the first apply to take it
+                        stepper.compute()
+                        break
+                master.apply(batch, now)
+                if block:
+                    for push in batch:
+                        unapplied[push.worker_id] = None
+                        # the worker was waiting for this apply; it
+                        # resumes now
+                        heappush(events, (now, _PULL, next(seq),
+                                          push.worker_id, None))
+    except Exception:
+        stepper.compute()  # a failing pass raises its own error first
+        raise
+    # every pass pulled, all based on versions below T, is computed
+    stepper.compute()
     if master.version < T:
-        if deferred:  # a failing pass raises its own error first
-            stepper.compute(deferred, master.model.values)
         raise TransportError(
             f"simulation starved at version {master.version} of {T}; "
             "the staleness gate or worker pool cannot make progress"

@@ -7,14 +7,15 @@ from a seeded generator so a problem is reproducible from its spec alone.
 
 An oracle may also offer grad_stack(idx[K, size], X[K, dim]) -> G[K, dim],
 K independent batch gradients in one call: row k must be bitwise equal to
-grad_at(idx[k], X[k]). The simulated engine uses it, when present, to step
-every pass that starts from one model version together. The quadratic and
-sigmoid oracles have it; the LDA and gridworld oracles, like user
-oracles, need not. Their grad_stack checks its block (_check_block) and
-then calls the unchecked kernel _grad_stack. The engine checks each
-group's whole index block (the p * B * size draws of every pass) once,
-the same way, and then calls _grad_stack once per local step; the
-public grad_at and grad_stack keep every check.
+grad_at(idx[k], X[k]), whatever the other rows. The simulated engine uses
+it, when present, to step every pass not yet computed together, each row
+from its own base model. The quadratic and sigmoid oracles have it; the
+LDA and gridworld oracles, like user oracles, need not. Their grad_stack
+checks its block (_check_block) and then calls the unchecked kernel
+_grad_stack. The engine checks each stack's whole index block (the
+p * B * size draws of every pass) once, the same way, and then calls
+_grad_stack once per local step; the public grad_at and grad_stack keep
+every check.
 
 Declared smoothness and gradient-norm bounds (L, V_bound) hold on the
 declared feasible box and are deliberately conservative.

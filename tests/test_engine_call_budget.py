@@ -66,8 +66,8 @@ SERIAL = RunConfig(
 
 
 @pytest.mark.parametrize("shape, budget", [
-    ("sim-sigmoid", 24509),   # 24.5 calls per master iteration
-    ("serial", 16533),        # 16.5
+    ("sim-sigmoid", 21574),   # 21.6 calls per master iteration
+    ("serial", 15534),        # 15.5
 ])
 def test_dpsgd_calls_per_master_iteration(monkeypatch, shape, budget):
     cfg = sim_sigmoid_config(monkeypatch) if shape == "sim-sigmoid" else SERIAL

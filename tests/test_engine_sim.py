@@ -341,8 +341,22 @@ def sim_sigmoid_shape(T=200):
     )
 
 
-def test_stacked_oracle_call_budget():
+def recorded_bases(monkeypatch) -> set[int]:
+    """The base version of every pass the simulator computes."""
+    bases = set()
+    compute = sim._Stepper.compute
+
+    def recording(stepper):
+        bases.update(push.base_version for push in stepper.deferred)
+        compute(stepper)
+
+    monkeypatch.setattr(sim._Stepper, "compute", recording)
+    return bases
+
+
+def test_stacked_oracle_call_budget(monkeypatch):
     # counts only, never time
+    bases = recorded_bases(monkeypatch)
     cfg = sim_sigmoid_shape()
     oracle = CountingOracle(build_oracle(cfg.problem, cfg.seed))
     res = run_with_oracle(cfg, oracle)
@@ -354,6 +368,8 @@ def test_stacked_oracle_call_budget():
     assert oracle.kernel_calls % steps == 0
     # one stacked call per local step serves every pass of its group
     assert res.counters.gradient_evals_computed > oracle.kernel_calls
+    # and stacks span base versions: one stack per version would take more
+    assert oracle.kernel_calls < steps * len(bases)
 
 
 def test_engine_checks_each_groups_index_block_once(monkeypatch):
@@ -531,6 +547,130 @@ def test_stacked_numeric_fault_matches_pass_by_pass(problem, seed):
         run_with_oracle(cfg, oracle)
     assert str(stacked.value) == str(per_pass.value)
     assert "local gradient" in str(stacked.value)
+
+
+# the messages these runs raised while numpy still warned on the way
+POISONED_FAULTS = {
+    ("quadratic", 0): ("inf", 2),
+    ("quadratic", 1): ("nan", 1),
+    ("sigmoid", 0): ("nan", 2),
+    ("sigmoid", 1): ("nan", 0),
+}
+
+
+@pytest.mark.parametrize("problem, seed", sorted(POISONED_FAULTS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_numeric_fault_raises_no_numpy_warning(problem, seed):
+    # numpy's invalid-value and overflow warnings would leave the run as
+    # errors here, ahead of the engine's own
+    spec, oracle = poisoned(problem, {(7, 1): float("nan"),
+                                      (19, 4): float("inf"),
+                                      (33, 2): -float("inf")})
+    cfg = quad_config(T=60, nW=4, M=2, p=2, B=2, seed=seed, problem=spec,
+                      compute_cost_s=1e-3, delay=_uniform("drop", 2))
+    value, dim = POISONED_FAULTS[problem, seed]
+    with pytest.raises(NumericFaultError, match=(
+            rf"^non-finite value \S*{value}\S* in local gradient "
+            rf"at dimension {dim}$")):
+        run_with_oracle(cfg, oracle)
+
+
+class LossError(Exception):
+    pass
+
+
+class FaultAtBase:
+    """A built-in oracle whose gradient at the model of version
+    fault_version, the first local step of every pass based on it, is NaN
+    in dimension 0, in grad_at and in the stacked kernel alike. loss_at
+    raises LossError at the model of raise_version. With grad_norm_every=1
+    loss_at sees every version's model."""
+
+    def __init__(self, oracle, init, fault_version, raise_version=None):
+        self._oracle = oracle
+        self.models = [init]  # models[k] is the model of version k
+        self.fault_version, self.raise_version = fault_version, raise_version
+
+    def _poison(self, X, G):
+        if self.fault_version < len(self.models):
+            G[(X == self.models[self.fault_version]).all(axis=1), 0] = np.nan
+        return G
+
+    def grad_at(self, i, x):
+        return self._poison(np.array(x, ndmin=2),
+                            self._oracle.grad_at(i, x)[None, :])[0]
+
+    def grad_stack(self, idx, X):
+        return self._poison(X, self._oracle.grad_stack(idx, X))
+
+    def _grad_stack(self, idx, X):
+        return self._poison(X, self._oracle._grad_stack(idx, X))
+
+    def loss_at(self, x):
+        self.models.append(x)
+        if len(self.models) - 1 == self.raise_version:
+            raise LossError(f"loss at version {self.raise_version}")
+        return self._oracle.loss_at(x)
+
+    def __getattr__(self, name):
+        return getattr(self._oracle, name)
+
+
+def fault_at_base_run(cfg, stacked):
+    """run(fault_version, raise_version) of cfg on a FaultAtBase oracle,
+    from a zero model."""
+    init = np.zeros(cfg.problem.dim)
+
+    def run(fault_version, raise_version=None):
+        oracle = FaultAtBase(build_oracle(cfg.problem, cfg.seed), init,
+                             fault_version, raise_version)
+        return run_simulated(cfg, oracle if stacked else PerPass(oracle),
+                             init)
+
+    return run
+
+
+FAULT = r"nan\S* in local gradient at dimension 0$"
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_pass_fault_raises_before_an_apply_error(monkeypatch, stacked):
+    # loss_at raises in the apply that leaves version t, and every pass
+    # based on t faults. Computing each pass at its pull, they raise
+    # first; here some of them are not yet computed when loss_at raises
+    # (the raised fault then carries the LossError as its context), and
+    # they must still raise first.
+    cfg = quad_config(T=60, nW=4, M=2, p=2, B=2, compute_cost_s=1e-3,
+                      delay=_uniform("drop", 2), grad_norm_every=1)
+    run = fault_at_base_run(cfg, stacked)
+    bases = recorded_bases(monkeypatch)
+    run(cfg.T)  # no pass faults
+    late = 0
+    for t in range(cfg.T):
+        if t not in bases:  # no pass is based on t
+            with pytest.raises(LossError, match=f"loss at version {t + 1}$"):
+                run(t, t + 1)
+            continue
+        with pytest.raises(NumericFaultError, match=FAULT) as fault:
+            run(t, t + 1)
+        late += isinstance(fault.value.__context__, LossError)
+    assert late > 0
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+def test_unapplied_pass_fault_on_the_last_version_raises(monkeypatch,
+                                                         stacked):
+    # passes based on version T - 1 are pulled but never applied: the
+    # last apply takes a stale pass. A faulting one still raises.
+    cfg = quad_config(T=30, nW=4, M=1, p=2, B=2, compute_cost_s=1e-3,
+                      delay=_uniform("drop", 2), grad_norm_every=1)
+    run = fault_at_base_run(cfg, stacked)
+    bases = recorded_bases(monkeypatch)
+    res = run(cfg.T)  # no pass faults
+    assert cfg.T - 1 in bases
+    assert res.metrics.column("batch_max_staleness")[-1] > 0
+    with pytest.raises(NumericFaultError, match=FAULT):
+        run(cfg.T - 1)
 
 
 def test_pending_pass_fault_raises_before_starvation():

@@ -4,14 +4,17 @@ scripts/sim_fingerprint.py digests simulated runs on a fixed config set;
 a change that must keep them bit for bit prints the same lines before
 and after. Its eleven runs on the built-in oracles (_engine_runs) take
 about a second, so they are checked here against the digests they had
-when this test was written. The LDA, corpus and gridworld lines take
-several seconds more and stay a manual diff between two checkouts.
+when this test was written. So are one LDA run and the two short
+gridworld runs, about a second more: the application oracles, which the
+simulator steps pass by pass. The other LDA, corpus and gridworld lines
+take several seconds more and stay a manual diff between two checkouts.
 """
 import importlib.util
 import sys
 from pathlib import Path
 
 from dpsgd.engine import run_with_oracle
+from dpsgd.svi_lda import run_dpsvi
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "sim_fingerprint.py"
 
@@ -29,6 +32,12 @@ test05-serial final=19e387b6b0f53348 metrics=8c6d9daa417adffd counters=e7e29534c
 sigmoid-nW32 final=c2d17744d833a51f metrics=d6c2cc7ae4f62edf counters=dcd6e0d1f94b27d8 hists=11120d2759693596
 """.splitlines()
 
+APPLICATION_LINES = """\
+apps-lda/seed1 final=beb88df78a6c0371 metrics=d1c197ce2bda087b counters=efd0940864622761 hists=528749cfe13c772e
+gridworld/side3-tmax1 final=5766cdcffff8dbd7 metrics=b81b476c9f21a142 counters=871d1e39eb0186b0 hists=fbb1798ecf2d84fe episodes=eeff46784465e37a
+gridworld/side3-tmax7 final=d3a848ee60e5376c metrics=2c393a7b08cb38e4 counters=871d1e39eb0186b0 hists=fbb1798ecf2d84fe episodes=30544493cd83a712
+""".splitlines()
+
 
 def load_script(monkeypatch):
     # the script puts perfbench/ on sys.path to import its workloads
@@ -44,3 +53,15 @@ def test_engine_runs_are_bit_identical_to_their_recorded_digests(monkeypatch):
     lines = [script.fingerprint(name, run_with_oracle(cfg, oracle, init))
              for name, cfg, oracle, init in script._engine_runs()]
     assert lines == ENGINE_LINES
+
+
+def test_application_runs_are_bit_identical_to_their_recorded_digests(
+        monkeypatch):
+    script = load_script(monkeypatch)
+    ctx = script.WORKLOADS["apps"].setup(1)
+    _, lda = run_dpsvi(ctx["lda_cfg"], ctx["model0"], ctx["train"])
+    lines = [script.fingerprint("apps-lda/seed1", lda)]
+    lines += [script.a2c_fingerprint(name, cfg, env)
+              for name, cfg, env in script._gridworld_runs()
+              if name.startswith("gridworld/side3")]
+    assert lines == APPLICATION_LINES
