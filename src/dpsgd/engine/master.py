@@ -5,8 +5,10 @@ receives, applies the drop policy, applies batches and samples the
 metrics series. The simulator drives it on virtual time; the threaded
 and TCP runtimes drive it in threaded.run_workers, on the pushes a
 Mailbox delivers. A Mailbox holds the published model, which workers
-pull, and the pushes on their way to the master, each released at its
-due time by serve(), the one wait loop of both real runtimes.
+pull, the pushes on their way to the master, each released at its due
+time by serve(), the one wait loop of both real runtimes, and worker
+exits. Every runtime raises what the oracle or a worker raised; the
+master's wait ends on a due push, a wake or its deadline, never a tick.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import heapq
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .config import RunConfig
 from .result import MetricsSeries, RunCounters, RunResult
 
 _QUEUE_TIMEOUT_S = 60.0
-_ABORT_POLL_S = 0.05
 
 
 class Master:
@@ -134,15 +135,15 @@ class Published:
 class Mailbox:
     """Published model and pending pushes between a master and its workers.
 
-    One Condition guards both. A push becomes deliverable transit_s after
-    push() is called; next_delivery() returns deliverable pushes earliest
-    due first, ties in push order. Transit therefore delays only the
-    delivery, never the pushing worker. next_delivery and a TCP drain run
-    serve(), the one wait loop; a subclass changes only how it waits
-    (_wait), as the TCP server answers its sockets. Constructing a
+    One Condition guards both, and the worker exits record_exit() counts. A
+    push becomes deliverable transit_s after push() is called; next_delivery()
+    returns deliverable pushes earliest due first, ties in push order. Transit
+    therefore delays only the delivery, never the pushing worker; once
+    stopped, the mailbox holds no push. next_delivery and the drain run
+    serve(), the one wait loop; a subclass changes only how it waits (_wait)
+    and is woken (wake), as the TCP server answers its sockets. Constructing a
     mailbox rejects a config its runtime cannot honour
-    (RunConfig.check_runtime), before any worker thread starts or socket
-    binds.
+    (RunConfig.check_runtime) before a thread or socket starts.
     """
 
     def __init__(self, cfg: RunConfig, initial: np.ndarray,
@@ -155,6 +156,8 @@ class Mailbox:
         self._seq = 0
         self.pulls_served = 0
         self.malformed_frames = 0  # frames a TCP server refused
+        self.exits = 0  # worker threads that have returned or raised
+        self.error: BaseException | None = None  # the first one raised
 
     def pull(self, worker_id: int | None = None) -> Published:
         """The published triple, counted in pulls_served."""
@@ -169,61 +172,69 @@ class Mailbox:
 
     def broadcast_stop(self) -> None:
         with self._cv:
-            old = self._published
-            self._published = Published(old.version, old.values, stop=True)
+            self._published = replace(self._published, stop=True)
+            self._pending.clear()
 
     def push(self, update: UpdateVector, transit_s: float = 0.0) -> None:
+        """Hold update until transit_s has passed; dropped once stopped."""
         due = time.monotonic() + transit_s
         with self._cv:
+            if self._published.stop:
+                return
             heapq.heappush(self._pending, (due, self._seq, update))
             self._seq += 1
             self._cv.notify()
 
-    def serve(self, until, deadline: float, abort_check=None) -> bool:
+    def record_exit(self, error: BaseException | None = None) -> None:
+        """Count a worker thread's exit, keep the first error, and wake."""
+        with self._cv:
+            self.exits += 1
+            if self.error is None:
+                self.error = error
+        self.wake()
+
+    def wake(self) -> None:
+        """End the master's current wait: serve() checks until() again."""
+        with self._cv:
+            self._cv.notify()
+
+    def serve(self, until, deadline: float) -> bool:
         """Wait until until() holds or time.monotonic() reaches deadline;
         returns whether until() held.
 
-        The lock is held throughout except inside _wait. Each wait ends at
-        the earliest due push, after 50 ms, or at the deadline, so until()
-        and abort_check() are called at least that often.
+        The lock is held throughout except inside _wait. Each wait ends
+        when the earliest push falls due, on a wake or at the deadline.
         """
         with self._cv:
-            while True:
-                if abort_check is not None:
-                    abort_check()
-                if until():
-                    return True
+            while not until():
                 now = time.monotonic()
                 if now >= deadline:
                     return False
-                wait = min(_ABORT_POLL_S, deadline - now)
-                if self._pending:
-                    wait = max(0.0, min(wait, self._pending[0][0] - now))
-                self._wait(wait)
+                due = self._pending[0][0] if self._pending else deadline
+                self._wait(min(due, deadline) - now)
+            return True
 
     def _wait(self, seconds: float) -> None:
-        """Release the lock for up to seconds; a push ends it early."""
+        """Release the lock for up to seconds; a wake ends it early."""
         self._cv.wait(seconds)
 
     def _due(self) -> bool:
+        """Whether a push is due; raises the first worker error instead."""
+        if self.error is not None:
+            raise self.error
         return bool(self._pending) and self._pending[0][0] <= time.monotonic()
 
-    def next_delivery(self, timeout: float = _QUEUE_TIMEOUT_S,
-                      abort_check=None) -> UpdateVector:
-        """The next due push; raises TransportError if none is due in time.
-
-        abort_check(), when given, is called at least every 50 ms while
-        waiting, so a failed worker can end the wait.
-        """
-        if not self.serve(self._due, time.monotonic() + timeout, abort_check):
+    def next_delivery(self, timeout: float = _QUEUE_TIMEOUT_S) -> UpdateVector:
+        """The next due push; raises the first worker error as soon as it
+        is recorded, and TransportError if no push is due in time."""
+        if not self.serve(self._due, time.monotonic() + timeout):
             raise TransportError("master starved: no push arrived in time")
         with self._cv:
             return heapq.heappop(self._pending)[2]
 
     def drain(self, until, deadline: float) -> None:
-        """Serve the workers after stop until until() holds (every local
-        worker has exited) or deadline (time.monotonic()) passes;
-        in-process workers need no serving."""
+        """Serve after stop until until() holds or the deadline passes."""
+        self.serve(until, deadline)
 
     def close(self) -> None:
         """Release what the mailbox holds; an in-process one holds nothing."""

@@ -12,11 +12,12 @@ runtime cannot honour (RunConfig.check_runtime) is rejected before the
 server binds or a worker connects: the simulated-only settings, and
 overwrite traces, which do not cross the wire.
 
-The server starts no thread. Its listener and its connections are
-non-blocking and sit in one selector. It differs from the in-process hub
-only in how it waits: the mailbox's wait loop, serve(), runs in the
-master's own thread inside next_delivery and again in the drain, and
-each wait (_wait) releases the mailbox lock and answers the sockets.
+The server starts no thread. Its listener, its connections and one end
+of a socketpair are non-blocking and sit in one selector. It differs
+from the in-process hub only in how it waits and is woken: the mailbox's
+wait loop, serve(), runs in the master's own thread inside next_delivery
+and again in the drain; each wait (_wait) releases the mailbox lock and
+answers the sockets, and wake() writes a byte to the socketpair.
 Each readiness event takes one recv into the connection's buffer and
 answers every whole frame in it. A reply that does not fit the socket
 is kept, and its connection is polled for write only until the reply is
@@ -38,6 +39,7 @@ mid-frame is dropped without being counted.
 """
 from __future__ import annotations
 
+import contextlib
 import selectors
 import socket
 import time
@@ -117,13 +119,7 @@ class Connection:
 
     def send_rest(self) -> None:
         """Send what fits of the unsent reply."""
-        try:
-            sent = self.sock.send(self.unsent)
-        except BlockingIOError:
-            return
-        except OSError as exc:
-            raise TransportError(f"socket write failed: {exc}")
-        self.unsent = self.unsent[sent:]
+        self.unsent = self.unsent[send_frame(self.sock, self.unsent):]
 
 
 def read_frame(conn: Connection):
@@ -162,7 +158,7 @@ class TcpMasterServer(Mailbox):
     thread. threaded.run_workers then runs the master against this
     mailbox, whose inherited next_delivery serves the sockets while it
     waits, and finally calls broadcast_stop(), drain() and close(). Of
-    the Mailbox methods it overrides only _wait, drain and close.
+    the Mailbox methods it overrides only _wait, wake, drain and close.
     """
 
     def __init__(self, cfg: RunConfig, initial: np.ndarray,
@@ -172,8 +168,8 @@ class TcpMasterServer(Mailbox):
         self._listener: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
         self._conns: set[Connection] = set()
-        self._host = host
-        self._port = port
+        self._wakeup: tuple[socket.socket, ...] = ()  # (read end, write end)
+        self._bind_to = (host, port)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -187,18 +183,14 @@ class TcpMasterServer(Mailbox):
         return len(self._conns)
 
     def start(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self._host, self._port))
-            listener.listen()
-            listener.setblocking(False)
-        except BaseException:
-            listener.close()
-            raise
-        self._listener = listener
+        listener = self._listener = socket.create_server(self._bind_to)
+        listener.setblocking(False)
+        self._wakeup = socket.socketpair()
+        self._wakeup[1].setblocking(False)
         self._selector = selectors.DefaultSelector()
-        self._selector.register(listener, selectors.EVENT_READ)
+        self._selector.register(listener, selectors.EVENT_READ, self._accept)
+        self._selector.register(self._wakeup[0], selectors.EVENT_READ,
+                                lambda: self._wakeup[0].recv(_RECV_BYTES))
 
     def _wait(self, seconds: float) -> None:
         """Answer the sockets for up to seconds, without the lock: the
@@ -207,16 +199,20 @@ class TcpMasterServer(Mailbox):
         self._cv.release()
         try:
             for key, events in self._selector.select(seconds):
-                if key.data is None:
-                    self._accept()
-                else:
+                if isinstance(key.data, Connection):
                     self._serve_conn(key.data, events)
+                else:  # the listener, or a wake: serve() checks until()
+                    key.data()
         finally:
             self._cv.acquire()
 
+    def wake(self) -> None:
+        """Write a byte that ends the select, if started and not closed."""
+        with self._cv, contextlib.suppress(IndexError, OSError):
+            self._wakeup[1].send(b"\0")  # OSError: closed, or a byte waits
+
     def drain(self, until, deadline: float) -> None:
-        """Serve, SHUTDOWN to every pull once stopped, until until() holds
-        and no connection is open, or the deadline passes."""
+        """Serve until until() holds and every connection has closed."""
         self.serve(lambda: until() and not self._conns, deadline)
 
     def _accept(self) -> None:
@@ -251,11 +247,8 @@ class TcpMasterServer(Mailbox):
                 if got is None:
                     break
                 self._answer(conn, *got)
-        except WireProtocolError:
-            self.malformed_frames += 1
-            self._drop(conn)
-            return
-        except TransportError:
+        except (WireProtocolError, TransportError) as exc:
+            self.malformed_frames += isinstance(exc, WireProtocolError)
             self._drop(conn)
             return
         if conn.closing and not conn.unsent:
@@ -299,13 +292,16 @@ class TcpMasterServer(Mailbox):
         )
 
     def close(self) -> None:
-        """Close every connection, the listener and the selector."""
+        """Close the connections, listener, selector and socketpair."""
         for conn in list(self._conns):
             self._drop(conn)
         if self._selector is not None:
             self._selector.close()
         if self._listener is not None:
             self._listener.close()
+        with self._cv:  # not while wake() sends
+            for sock in self._wakeup:
+                sock.close()
 
 
 def connect_with_retries(address: tuple[str, int]) -> socket.socket:

@@ -37,11 +37,6 @@ class InprocHub(Mailbox):
     """Mailbox between one master and its in-process workers."""
 
 
-def simulate_compute_cost(cfg: RunConfig) -> None:
-    if cfg.compute_cost_s > 0:
-        time.sleep(cfg.compute_cost_s)
-
-
 class LocalThreads:
     """A worker's long-lived helpers for local threads h = 1 .. p-1.
 
@@ -146,7 +141,8 @@ def run_local_pass(
         for idx in steps[h]:
             u_hat = slab.read()
             g = oracle.grad_at(idx, u_hat)
-            simulate_compute_cost(cfg)
+            if cfg.compute_cost_s > 0:
+                time.sleep(cfg.compute_cost_s)
             slab.write_step(g, cfg.eta)
 
     local.run(thread_body)
@@ -197,25 +193,22 @@ def run_workers(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
     while threads worker0 .. worker<nW-1> run work(w); with work None no
     worker starts here. The one driver of both real runtimes.
 
-    Every applied model is published through mailbox. Workers start
-    inside the try, so a failed start still stops, joins and closes what
-    had started. Once the master is done, or has failed, the mailbox
-    broadcasts stop and drains until every started worker has exited;
-    then they are joined and the mailbox is closed, all within
-    _JOIN_TIMEOUT_S. Then the first worker error fails the run, even one
-    raised after the last apply, and so does a worker still alive.
+    Every applied model is published through mailbox, and every worker
+    thread's exit is recorded there (record_exit), which wakes the
+    master. Workers start inside the try, so a failed start still stops,
+    joins and closes what had started. Once the master is done, or has
+    failed, the mailbox broadcasts stop and drains until every started
+    worker has exited; then they are joined and the mailbox is closed,
+    all within _JOIN_TIMEOUT_S. Then the first worker error is raised as
+    is, even one after the last apply, and a worker still alive fails it.
     """
-    errors: list[BaseException] = []
-
     def worker(w: int) -> None:
         try:
             work(w)
-        except BaseException as exc:  # surfaced by the master
-            errors.append(exc)
-
-    def abort_check():
-        if errors:
-            raise TransportError(f"worker failed: {errors[0]!r}") from errors[0]
+        except BaseException as exc:  # raised by the master
+            mailbox.record_exit(exc)
+        else:
+            mailbox.record_exit()
 
     workers: list[threading.Thread] = []
     start = time.monotonic()
@@ -227,7 +220,7 @@ def run_workers(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
             workers.append(th)
         batch = []
         while master.version < cfg.T:
-            upd = mailbox.next_delivery(abort_check=abort_check)
+            upd = mailbox.next_delivery()
             if not master.receive(upd.base_version, upd.worker_id):
                 continue
             batch.append(upd)
@@ -237,12 +230,12 @@ def run_workers(cfg: RunConfig, oracle, init: np.ndarray, mailbox: Mailbox,
     finally:
         mailbox.broadcast_stop()
         deadline = time.monotonic() + _JOIN_TIMEOUT_S
-        mailbox.drain(lambda: not any(th.is_alive() for th in workers),
-                      deadline)
+        mailbox.drain(lambda: mailbox.exits == len(workers), deadline)
         for th in workers:
             th.join(timeout=max(0.0, deadline - time.monotonic()))
         mailbox.close()
-    abort_check()
+    if mailbox.error is not None:
+        raise mailbox.error
     alive = [th.name for th in workers if th.is_alive()]
     if alive:
         raise TransportError(

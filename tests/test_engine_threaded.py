@@ -183,11 +183,11 @@ class ExplodingOracle:
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_worker_failure_surfaces_as_transport_error(p):
+def test_worker_failure_raises_the_workers_own_error(p):
     # at p >= 2 the fault is raised in local threads h >= 1 as well; it
     # must fail the run, not be dropped while the pass is pushed
     cfg = threaded_config(T=5, nW=1, p=p, B=1, M=1)
-    with pytest.raises(TransportError, match="worker failed"):
+    with pytest.raises(ValueError, match="^bad gradient$"):
         run_with_oracle(cfg, ExplodingOracle())
 
 
@@ -280,7 +280,7 @@ def test_threaded_run_leaves_no_thread_behind(p, fail):
     cfg = threaded_config(T=6, p=p)
     before = threading.active_count()
     if fail:
-        with pytest.raises(TransportError, match="worker failed"):
+        with pytest.raises(ValueError, match="^bad gradient$"):
             run_with_oracle(cfg, ExplodingOracle())
     else:
         run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
@@ -368,8 +368,7 @@ def test_threaded_worker_error_after_the_last_apply_fails_the_run(
         monkeypatch):
     failing_after_return(monkeypatch, threaded, "worker_loop")
     cfg = threaded_config(T=6)
-    with pytest.raises(TransportError,
-                       match="worker failed: .*after its last pass"):
+    with pytest.raises(RuntimeError, match="^failed after its last pass$"):
         run_with_oracle(cfg, build_oracle(cfg.problem, cfg.seed))
 
 
@@ -380,15 +379,33 @@ def test_hub_starvation_raises():
         hub.next_delivery(timeout=0.05)
 
 
-def test_hub_abort_check_runs_while_waiting():
-    cfg = threaded_config()
-    hub = InprocHub(cfg, np.zeros(4))
+def assert_a_worker_failure_ends_the_wait(mailbox):
+    """A failure recorded by another thread while the master waits in
+    next_delivery ends the wait at once and is raised as it was raised."""
+    boom = ValueError("boom")
 
-    def abort():
-        raise TransportError("worker failed: boom")
+    def fail():
+        time.sleep(0.1)
+        mailbox.record_exit(boom)
 
-    with pytest.raises(TransportError, match="boom"):
-        hub.next_delivery(timeout=5.0, abort_check=abort)
+    th = threading.Thread(target=fail)
+    began = time.monotonic()
+    th.start()
+    try:
+        with pytest.raises(ValueError) as raised:
+            mailbox.next_delivery(timeout=30.0)
+    finally:
+        th.join(timeout=30.0)
+    assert raised.value is boom
+    assert 0.1 <= time.monotonic() - began < 5.0
+    assert mailbox.exits == 1
+
+
+def test_hub_wakes_on_a_worker_failure():
+    hub = InprocHub(threaded_config(), np.zeros(4))
+    assert_a_worker_failure_ends_the_wait(hub)
+    hub.close()
+    hub.wake()  # a wake after close does nothing
 
 
 def test_delay_scheduler_orders_by_transit():

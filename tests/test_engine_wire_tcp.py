@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from test_engine_threaded import (
     SIMULATED_ONLY,
+    assert_a_worker_failure_ends_the_wait,
     assert_one_delay_draw_per_pass,
     assert_run_names_its_stuck_worker,
     failing_after_return,
@@ -24,9 +25,15 @@ from dpsgd.engine import (
     TcpMasterServer,
     build_oracle,
     run_tcp,
+    run_with_oracle,
 )
 from dpsgd.engine import tcp, wire
-from dpsgd.errors import ConfigurationError, TransportError, WireProtocolError
+from dpsgd.errors import (
+    ConfigurationError,
+    NumericFaultError,
+    TransportError,
+    WireProtocolError,
+)
 
 # golden frames written out byte by byte, independent of the encoder
 GOLDEN_PULL_REQ = b"DPSG" + b"\x00" + b"\x00\x00\x00\x00"
@@ -144,10 +151,42 @@ class ExplodingOracle:
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_tcp_worker_failure_surfaces_as_transport_error(p):
+def test_tcp_worker_failure_raises_the_workers_own_error(p):
     cfg = tcp_config(T=5, nW=1, p=p, B=1, M=1)
-    with pytest.raises(TransportError, match="worker failed"):
+    with pytest.raises(ValueError, match="^bad gradient$"):
         run_tcp(cfg, ExplodingOracle())
+
+
+class NanOnComponent7:
+    """Sets gradient dimension 0 to NaN whenever component 7 is drawn."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self.n, self.dim = oracle.n, oracle.dim
+
+    def grad_at(self, idx, x):
+        g = self._oracle.grad_at(idx, x)
+        if 7 in idx:
+            g[0] = np.nan
+        return g
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_numeric_fault_raises_the_same_error_in_every_runtime(p):
+    messages = []
+    for runtime in ("simulated", "threaded", "tcp"):
+        cfg = tcp_config(T=50, nW=2, p=p, B=2, seed=3,
+                         problem=ProblemSpec(name="quadratic", n=20, dim=4),
+                         execution="simulated" if runtime == "simulated"
+                         else "threaded")
+        oracle = NanOnComponent7(build_oracle(cfg.problem, cfg.seed))
+        run = run_tcp if runtime == "tcp" else run_with_oracle
+        with pytest.raises(NumericFaultError) as raised:
+            run(cfg, oracle)
+        assert type(raised.value) is NumericFaultError
+        messages.append(str(raised.value))
+    assert messages == [messages[0]] * 3
+    assert messages[0].endswith("in local gradient at dimension 0")
 
 
 @pytest.mark.parametrize("p,fail", [(2, False), (2, True), (1, False)])
@@ -155,7 +194,7 @@ def test_tcp_run_leaves_no_thread_behind(p, fail):
     cfg = tcp_config(T=6, p=p)
     before = threading.active_count()
     if fail:
-        with pytest.raises(TransportError, match="worker failed"):
+        with pytest.raises(ValueError, match="^bad gradient$"):
             run_tcp(cfg, ExplodingOracle())
     else:
         run_tcp(cfg, build_oracle(cfg.problem, cfg.seed))
@@ -261,9 +300,38 @@ def test_tcp_run_stops_its_threads_when_a_worker_fails_to_start(monkeypatch):
 def test_tcp_worker_error_after_the_last_apply_fails_the_run(monkeypatch):
     failing_after_return(monkeypatch, tcp, "run_tcp_worker")
     cfg = tcp_config(T=6)
-    with pytest.raises(TransportError,
-                       match="worker failed: .*after its last pass"):
+    with pytest.raises(RuntimeError, match="^failed after its last pass$"):
         run_tcp(cfg, build_oracle(cfg.problem, cfg.seed))
+
+
+def test_tcp_drain_waits_only_on_events(monkeypatch):
+    # after stop the server holds no push, so each drain wait lasts until
+    # a socket event, a worker's exit wake or the deadline: never 0 s
+    waits = []
+    wait = TcpMasterServer._wait
+
+    def recording(self, seconds):
+        waits.append((self._published.stop, seconds))
+        wait(self, seconds)
+
+    monkeypatch.setattr(TcpMasterServer, "_wait", recording)
+    for seed in (1, 2, 3):
+        cfg = tcp_config(T=100, M=2, nW=2, p=1, B=1, eta=0.05, seed=seed,
+                         problem=ProblemSpec(name="quadratic", n=200,
+                                             dim=2000))
+        assert run_tcp(cfg, build_oracle(cfg.problem, seed)).version == cfg.T
+    drain = [seconds for stopped, seconds in waits if stopped]
+    assert drain and min(drain) > 0
+
+
+def test_server_wakes_on_a_worker_failure():
+    server = TcpMasterServer(tcp_config(), np.zeros(5))
+    server.start()
+    try:
+        assert_a_worker_failure_ends_the_wait(server)
+    finally:
+        server.close()
+    server.wake()  # a wake after close does nothing
 
 
 def _client(server):
@@ -284,6 +352,7 @@ def serving(server):
         yield
     finally:
         stop.set()
+        server.wake()
         th.join(timeout=5.0)
     assert not th.is_alive()
 
